@@ -28,7 +28,7 @@ from .ensembles import (
     rre_fit,
     save_boost,
 )
-from .errors import UhwtError
+from .errors import NonFiniteDataError, UhwtError
 from .grid import GridFitParams, denoise, estimate_sigma_mad, fit_uhwt, pilot_sigma
 from .signals import (
     generate_sphere_synthetic,
@@ -427,7 +427,7 @@ def main(argv=None):
     try:
         metrics = args.handler(args)
     except (ConfigError, UhwtError, FileNotFoundError, ValueError) as exc:
-        kind = 2 if isinstance(exc, ConfigError) else 1
+        kind = 2 if isinstance(exc, (ConfigError, NonFiniteDataError)) else 1
         print(f"error: {exc}", file=sys.stderr)
         if kind == 2:
             parser.print_usage(sys.stderr)

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyChildError, OutOfDomainError
+from .errors import EmptyChildError, NonFiniteDataError, OutOfDomainError
 
 GRID = "grid"
 SPHERE = "sphere"
@@ -68,6 +68,8 @@ class Dataset:
             raise ValueError("need at least one observation")
         if resp.shape[0] != n:
             raise ValueError("locations and responses disagree in length")
+        if not (np.isfinite(loc).all() and np.isfinite(resp).all()):
+            raise NonFiniteDataError("locations and responses must be finite (no NaN or inf)")
         if np.unique(loc, axis=0).shape[0] != n:
             raise ValueError("locations must be unique")
         if self.kind == SPHERE:
@@ -156,14 +158,31 @@ def triangle_cell(vertices, members, depth):
 # triangle geometry shared by splits and descent
 # ---------------------------------------------------------------------------
 
+def _cross3(a, b):
+    """np.cross of two 3-vectors given as float sequences, as a list.
+
+    The same products and differences in the same order as np.cross, so
+    the result is bit-identical; per-node code passes ``.tolist()`` rows
+    and skips numpy's per-call overhead on tiny arrays.
+    """
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return [a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]
+
+
+def _min3(dets):
+    """Minimum over the last axis of length 3, without a reduction."""
+    return np.minimum(np.minimum(dets[..., 0], dets[..., 1]), dets[..., 2])
+
+
 def tri_edge_normals(verts):
     """Outward-edge normals cross(v_i, v_{i+1}); det tests are dots with these."""
-    return np.cross(verts, np.roll(verts, -1, axis=0))
+    v0, v1, v2 = np.asarray(verts, dtype=np.float64).tolist()
+    return np.array([_cross3(v0, v1), _cross3(v1, v2), _cross3(v2, v0)])
 
 
 def tri_contains_many(verts, points, eps=BOUNDARY_EPS):
-    dets = points @ tri_edge_normals(verts).T
-    return dets.min(axis=1) >= -eps
+    return _min3(points @ tri_edge_normals(verts).T) >= -eps
 
 
 def edge_child_vertices(verts, edge, xi):
@@ -175,8 +194,8 @@ def edge_child_vertices(verts, edge, xi):
     va = verts[edge]
     vb = verts[(edge + 1) % 3]
     vopp = verts[(edge + 2) % 3]
-    plus = np.stack([vopp, xi, vb])
-    minus = np.stack([vopp, va, xi])
+    plus = np.array([vopp, xi, vb])
+    minus = np.array([vopp, va, xi])
     return plus, minus
 
 
@@ -249,14 +268,23 @@ def make_axis_split(cell, locations, dim, loc):
     return Split("axis", [left, right], (0,), (1,), dim=dim, loc=float(loc))
 
 
-def make_edge_split(cell, locations, edge, xi):
-    """Geodesic edge cut of a triangle cell; members split by det sign."""
+def _edge_cut(verts, edge, xi, points):
+    """(cut normal, plus mask) of the edge cut at xi: det[v_opp, xi, p] >= 0."""
+    normal = np.array(_cross3(verts[(edge + 2) % 3].tolist(), xi.tolist()))
+    return normal, points @ normal >= 0.0
+
+
+def make_edge_split(cell, locations, edge, xi, *, _cut=None):
+    """Geodesic edge cut of a triangle cell; members split by det sign.
+
+    ``_cut`` is the (normal, plus mask) pair _edge_cut already returned for
+    this cut, so a split search that scored it does not compute it again.
+    """
     verts = cell.triangles[0]
     xi = np.asarray(xi, dtype=np.float64)
-    vopp = verts[(edge + 2) % 3]
-    normal = np.cross(vopp, xi)
-    pts = locations[cell.members]
-    plus_mask = pts @ normal >= 0.0
+    if _cut is None:
+        _cut = _edge_cut(verts, edge, xi, locations[cell.members])
+    normal, plus_mask = _cut
     pv, mv = edge_child_vertices(verts, edge, xi)
     plus = triangle_cell(pv, cell.members[plus_mask], cell.depth + 1)
     minus = triangle_cell(mv, cell.members[~plus_mask], cell.depth + 1)
@@ -271,8 +299,7 @@ def quad_assign(child_cells, points):
     m = points.shape[0]
     mind = np.empty((m, 4))
     for idx, child in enumerate(child_cells):
-        dets = points @ tri_edge_normals(child.triangles[0]).T
-        mind[:, idx] = dets.min(axis=1)
+        mind[:, idx] = _min3(points @ tri_edge_normals(child.triangles[0]).T)
     out = np.full(m, -1, dtype=np.intp)
     for idx in range(4):
         hit = (out < 0) & (mind[:, idx] >= -BOUNDARY_EPS)
@@ -336,7 +363,8 @@ def uh_coefficient(split, parent, responses):
     if plus.size == 0 or minus.size == 0:
         raise EmptyChildError("both split groups need at least one point")
     scale = math.sqrt(plus.size * minus.size / (plus.size + minus.size))
-    return scale * (responses[plus].mean() - responses[minus].mean())
+    # sum / size is what ndarray.mean computes, minus its wrapper overhead
+    return scale * (responses[plus].sum() / plus.size - responses[minus].sum() / minus.size)
 
 
 # ---------------------------------------------------------------------------

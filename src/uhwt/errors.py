@@ -9,6 +9,10 @@ class EmptyChildError(UhwtError):
     """A split group carries no data points, so masses/means are undefined."""
 
 
+class NonFiniteDataError(UhwtError, ValueError):
+    """Locations or responses contain NaN or infinity."""
+
+
 class OutOfDomainError(UhwtError):
     """Query point lies outside the root cell of a tree."""
 

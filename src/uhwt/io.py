@@ -187,9 +187,17 @@ def load_summary_grid(path):
         data = fh.read()
     if data[:4] != SUMMARY_MAGIC:
         raise BadMagicError("missing summary magic")
+    if len(data) < 8:
+        raise TruncatedPayloadError("summary header ends early")
     ndim = struct.unpack("<I", data[4:8])[0]
+    if ndim == 0 or ndim > 16:
+        raise DimensionMismatchError(f"unreasonable summary rank {ndim}")
     header_end = 8 + 4 * ndim
+    if len(data) < header_end:
+        raise TruncatedPayloadError("summary dims end early")
     dims = struct.unpack(f"<{ndim}I", data[8:header_end])
+    if any(d == 0 for d in dims):
+        raise DimensionMismatchError("zero-length summary axis")
     count = int(np.prod(dims))
     if len(data) < header_end + 3 * 8 * count:
         raise TruncatedPayloadError("summary payload ends early")

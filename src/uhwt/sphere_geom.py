@@ -23,11 +23,15 @@ full-depth growth when a rule has no admissible candidate.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .core import (
     BOUNDARY_EPS,
+    _cross3,
+    _edge_cut,
+    _min3,
     make_edge_split,
     make_quad_split,
     tri_contains_many,
@@ -55,6 +59,11 @@ class Triangulation:
     def face_vertices(self, j):
         return self.vertices[self.faces[j]]
 
+    @cached_property
+    def _edge_normals(self):
+        """(F, 3, 3) edge normals of every face, computed on first use."""
+        return np.stack([tri_edge_normals(self.face_vertices(j)) for j in range(self.n_faces)])
+
 
 def icosahedron():
     """Canonical golden-ratio icosahedron, 12 unit vertices and 20 ccw faces."""
@@ -74,7 +83,7 @@ def icosahedron():
     # orient outward-counterclockwise: triple product positive
     for j in range(faces.shape[0]):
         a, b, c = vertices[faces[j]]
-        if np.dot(np.cross(a, b), c) < 0:
+        if np.dot(_cross3(a.tolist(), b.tolist()), c) < 0:
             faces[j, [1, 2]] = faces[j, [2, 1]]
     return Triangulation(vertices, faces)
 
@@ -93,12 +102,8 @@ def assign_faces(triangulation, points, eps=BOUNDARY_EPS):
     edge determinant.
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    normals = np.stack([
-        tri_edge_normals(triangulation.face_vertices(j))
-        for j in range(triangulation.n_faces)
-    ])  # (F, 3, 3)
-    dets = np.einsum("fkd,md->mfk", normals, points)
-    mind = dets.min(axis=2)  # (m, F)
+    dets = np.einsum("fkd,md->mfk", triangulation._edge_normals, points)
+    mind = _min3(dets)  # (m, F)
     ok = mind >= -eps
     idx = np.argmax(ok, axis=1)  # first passing face
     homeless = ~ok.any(axis=1)
@@ -111,10 +116,32 @@ def arc_length(a, b):
     return float(np.arccos(np.clip(np.dot(a, b), -1.0, 1.0)))
 
 
+def _cross_rows(a, b):
+    """Row-wise np.cross of (k, 3) arrays; either may be one 3-vector."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    out[..., 0] = a1 * b2 - a2 * b1
+    out[..., 1] = a2 * b0 - a0 * b2
+    out[..., 2] = a0 * b1 - a1 * b0
+    return out
+
+
+def _norm(v):
+    """np.linalg.norm of a 1-D vector: the same dot product and square root."""
+    return math.sqrt(v.dot(v))
+
+
+def _norm_rows(rows):
+    """np.linalg.norm(rows, axis=1) for (k, 3) rows, summed left to right."""
+    sq = rows * rows
+    return np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2])
+
+
 def geodesic_midpoint(a, b):
     """normalize(a + b); undefined for antipodal inputs."""
     s = np.asarray(a, dtype=np.float64) + np.asarray(b, dtype=np.float64)
-    norm = np.linalg.norm(s)
+    norm = _norm(s)
     if norm < 1e-9:
         raise AntipodalPointsError("midpoint of antipodal points is undefined")
     return s / norm
@@ -127,12 +154,13 @@ def project_to_edge(point, va, vb):
     point is within 1e-9 of the edge-plane pole (projection undefined).
     """
     point = np.asarray(point, dtype=np.float64)
-    normal = np.cross(va, vb)
-    normal = normal / np.linalg.norm(normal)
-    if min(np.linalg.norm(point - normal), np.linalg.norm(point + normal)) < _ENDPOINT_EPS:
+    normal = np.array(_cross3(np.asarray(va, dtype=np.float64).tolist(),
+                              np.asarray(vb, dtype=np.float64).tolist()))
+    normal = normal / _norm(normal)
+    if min(_norm(point - normal), _norm(point + normal)) < _ENDPOINT_EPS:
         return None
     flat = point - np.dot(point, normal) * normal
-    size = np.linalg.norm(flat)
+    size = _norm(flat)
     if size < 1e-12:
         return None
     q = flat / size
@@ -215,7 +243,7 @@ def split_triangle(cell, rule, dataset, responses, n_min=1):
     best = None
     for e, xi in candidates:
         # same determinant rule make_edge_split applies to the winner
-        mask = points @ np.cross(verts[(e + 2) % 3], xi) >= 0.0
+        normal, mask = _edge_cut(verts, e, xi, points)
         n_plus = int(mask.sum())
         n_minus = k - n_plus
         if n_plus < n_min or n_minus < n_min:
@@ -223,10 +251,10 @@ def split_triangle(cell, rule, dataset, responses, n_min=1):
         sum_plus = values[mask].sum()
         w = math.sqrt(n_plus * n_minus / k) * (sum_plus / n_plus - (total - sum_plus) / n_minus)
         if best is None or abs(w) > best[0]:
-            best = (abs(w), e, xi)
+            best = (abs(w), e, xi, (normal, mask))
     if best is None:
         return None
-    return make_edge_split(cell, locations, best[1], best[2])
+    return make_edge_split(cell, locations, best[1], best[2], _cut=best[3])
 
 
 def _fan_projections(verts, edge, points):
@@ -238,17 +266,17 @@ def _fan_projections(verts, edge, points):
     """
     va, vb = verts[edge], verts[(edge + 1) % 3]
     vopp = verts[(edge + 2) % 3]
-    n_edge = np.cross(va, vb)
-    n_edge = n_edge / np.linalg.norm(n_edge)
-    rays = np.cross(np.cross(vopp, points), n_edge)  # (k, 3)
-    sizes = np.linalg.norm(rays, axis=1)
+    n_edge = np.array(_cross3(va.tolist(), vb.tolist()))
+    n_edge = n_edge / _norm(n_edge)
+    rays = _cross_rows(_cross_rows(vopp, points), n_edge)  # (k, 3)
+    sizes = _norm_rows(rays)
     good = sizes > 1e-12
     dirs = np.zeros_like(rays)
     dirs[good] = rays[good] / sizes[good, None]
     # pick the intersection on the near arc
     flip = dirs @ (va + vb) < 0
     dirs[flip] *= -1.0
-    t_axis = np.cross(n_edge, va)
+    t_axis = np.array(_cross3(n_edge.tolist(), va.tolist()))
     angles = np.arctan2(dirs @ t_axis, dirs @ va)
     angles[~good] = np.nan
     return dirs, angles

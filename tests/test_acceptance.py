@@ -250,6 +250,7 @@ def test_criterion_04_soft_threshold_inequality():
     assert elapsed < 10
 
 
+@pytest.mark.slow
 def test_criterion_05_oracle_bounds():
     started = time.perf_counter()
     delta = 0.1
@@ -270,6 +271,7 @@ def test_criterion_05_oracle_bounds():
     assert elapsed < 300
 
 
+@pytest.mark.slow
 def test_criterion_06_bayesian_correctness():
     started = time.perf_counter()
     prior = RuhwtPrior(max_depth=6)
@@ -345,6 +347,7 @@ def rrb_trace(fig5_train, fig5_test):
     return mses
 
 
+@pytest.mark.slow
 def test_criterion_07_sphere_boosting_reproduction(rrb_trace):
     paper = {500: 0.134, 1000: 0.129, 1500: 0.128}
     in_window = {
@@ -363,6 +366,7 @@ def test_criterion_07_sphere_boosting_reproduction(rrb_trace):
     assert elapsed < 1200
 
 
+@pytest.mark.slow
 def test_criterion_08_rotation_benefit(fig5_train, fig5_test, rrb_trace):
     started = time.perf_counter()
     points, clean = fig5_test
@@ -408,6 +412,7 @@ def soft_sweep():
     return out
 
 
+@pytest.mark.slow
 def test_criterion_09_soft_threshold_ordering(soft_sweep):
     ordering = (soft_sweep[0.2] <= soft_sweep[0.0]
                 and soft_sweep[0.4] >= soft_sweep[0.2])
@@ -420,6 +425,7 @@ def test_criterion_09_soft_threshold_ordering(soft_sweep):
     assert elapsed < 900
 
 
+@pytest.mark.slow
 def test_criterion_09_paper_value_window(soft_sweep):
     """Value windows pinned to the published table; see the printed analysis."""
     paper = {0.0: 0.0227, 0.2: 0.0217, 0.4: 0.0239}
@@ -451,6 +457,7 @@ def test_criterion_09_paper_value_window(soft_sweep):
         assert in_window[c], f"soft {c}: {soft_sweep[c]} outside +-30% of {paper[c]}"
 
 
+@pytest.mark.slow
 def test_criterion_10_grid_boosting_vs_single():
     started = time.perf_counter()
     from uhwt.signals import piecewise_image
@@ -497,6 +504,7 @@ def test_criterion_10_grid_boosting_vs_single():
     assert elapsed < 900
 
 
+@pytest.mark.slow
 def test_criterion_11_quantile_coverage(fig5_train):
     started = time.perf_counter()
     held_out = generate_sphere_synthetic("fig5", 800, 0.1, seed=SEED + 100)

@@ -43,6 +43,14 @@ class TestExitCodes:
         missing = tmp_path / "nope.pgm"
         assert main(["denoise", "--input", str(missing)]) == 1
 
+    def test_non_finite_input_is_usage_error(self, tmp_path, capsys):
+        img = np.zeros((4, 4))
+        img[1, 2] = np.nan
+        path = tmp_path / "nan.uhwt"
+        save_tensor(path, img)
+        assert main(["denoise", "--input", str(path)]) == 2
+        assert "finite" in capsys.readouterr().err
+
 
 class TestDenoise:
     def test_exact_reconstruction_record(self, small_pgm, tmp_path):

@@ -15,6 +15,7 @@ from uhwt import (
     gram_matrix,
     grid_dataset,
     reconstruct,
+    sphere_dataset,
     tree_fit_values,
     tree_from_dict,
     tree_to_dict,
@@ -22,7 +23,7 @@ from uhwt import (
     uh_coefficient,
 )
 from uhwt.core import Cell, batch_reconstruct, make_axis_split, root_cell_grid
-from uhwt.errors import EmptyChildError, OutOfDomainError
+from uhwt.errors import EmptyChildError, NonFiniteDataError, OutOfDomainError
 from uhwt.signals import image_dataset
 
 
@@ -35,6 +36,23 @@ def line_dataset(values, locs=None):
 
 def split_at(dataset, cell, loc, dim=0):
     return make_axis_split(cell, dataset.locations, dim, loc)
+
+
+class TestDatasetChecks:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_responses_rejected(self, bad):
+        with pytest.raises(NonFiniteDataError):
+            grid_dataset(np.arange(4.0)[:, None], [1.0, bad, 2.0, 3.0])
+
+    def test_non_finite_locations_rejected(self):
+        with pytest.raises(NonFiniteDataError):
+            grid_dataset(np.array([[0.0], [np.inf], [2.0]]), np.zeros(3))
+        with pytest.raises(NonFiniteDataError):
+            sphere_dataset(np.array([[1.0, 0.0, 0.0], [np.nan, 0.0, 1.0]]), np.zeros(2))
+
+    def test_error_is_still_a_value_error(self):
+        with pytest.raises(ValueError):
+            line_dataset([0.0, np.nan])
 
 
 class TestCellMass:

@@ -164,6 +164,23 @@ class TestSummaryGrid:
         with pytest.raises(DimensionMismatchError):
             save_summary_grid(tmp_path / "x.uhws", np.zeros(4), np.zeros(4), np.zeros(3), (2, 2))
 
+    @pytest.mark.parametrize("cut", [6, 14], ids=["in_rank", "in_dims"])
+    def test_truncated_header(self, tmp_path, cut):
+        path = tmp_path / "s.uhws"
+        save_summary_grid(path, np.zeros(6), np.zeros(6), np.zeros(6), (2, 3))
+        path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(TruncatedPayloadError):
+            load_summary_grid(path)
+
+    @pytest.mark.parametrize("header", [(0,), (17,), (2, 4, 0)], ids=["rank_0", "rank_17", "zero_axis"])
+    def test_bad_dims(self, tmp_path, header):
+        import struct
+
+        path = tmp_path / "s.uhws"
+        path.write_bytes(b"UHWS" + struct.pack(f"<{len(header)}I", *header))
+        with pytest.raises(DimensionMismatchError):
+            load_summary_grid(path)
+
 
 class TestSignals:
     def test_fig5_pole_values(self):
