@@ -1,11 +1,8 @@
 """Named random streams derived from a single user seed.
 
 Every stochastic component draws from its own stream keyed by
-(seed, purpose, index), so results do not depend on execution order or
-on how work is distributed across workers.
+(seed, purpose, index), so results do not depend on execution order.
 """
-
-import os
 
 import numpy as np
 
@@ -25,12 +22,10 @@ def stream_rng(seed, *key):
 
 
 def thread_count():
-    """Worker cap from UHWT_THREADS (0 or unset = auto)."""
-    raw = os.environ.get("UHWT_THREADS", "0")
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value <= 0:
-        return os.cpu_count() or 1
-    return value
+    """Worker threads used to fit forest members: always 1.
+
+    Members are fit one after another on the calling thread (the work is
+    GIL-bound Python); the function stays for callers that record the
+    worker count.
+    """
+    return 1

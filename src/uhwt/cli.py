@@ -19,7 +19,7 @@ import numpy as np
 
 from . import io as uio
 from .bayes import CoefficientModel, McmcTree, RuhwtPrior, backfit, mcmc_step, posterior_summary
-from .core import GRID, SPHERE, batch_reconstruct, tree_fit_values
+from .core import GRID, SPHERE, tree_fit_values
 from .ensembles import (
     boost_fit,
     boost_predict_trace,
@@ -29,14 +29,10 @@ from .ensembles import (
     save_boost,
 )
 from .errors import NonFiniteDataError, UhwtError
-from .grid import GridFitParams, denoise, estimate_sigma_mad, fit_uhwt, pilot_sigma
-from .signals import (
-    generate_sphere_synthetic,
-    get_signal,
-    signal_sd,
-    sphere_test_grid,
-)
+from .grid import GridFitParams, denoise, fit_uhwt, pilot_sigma
+from .signals import generate_sphere_synthetic, signal_sd, sphere_test_grid
 from .sphere import fit_sphere, predict_sphere
+from .sphere_geom import RULES
 from .verify import run_oracle_bounds, sparse_comparison
 
 
@@ -145,11 +141,13 @@ def _cmd_boost(args):
     )
     fitted = ensemble_predict(ensemble, dataset.locations)
     metrics = {"train_mse": _mse(fitted, dataset.responses)}
+    if getattr(args, "signal", None):
+        metrics["signal_sd"] = signal_sd(args.signal)
     checkpoints = _checkpoints(args)
     metrics.update(_test_metrics(
         args, lambda pts: boost_predict_trace(ensemble, pts, checkpoints),
     ))
-    if args.model_out:
+    if getattr(args, "model_out", None):
         save_boost(ensemble, args.model_out)
     if args.dump_prediction and dataset.kind == SPHERE:
         _dump_sphere(args.dump_prediction, dataset.locations, fitted)
@@ -278,21 +276,6 @@ def _cmd_verify(args):
     }
 
 
-def _cmd_bench(args):
-    dataset = generate_sphere_synthetic(args.signal, args.n, args.noise_frac, args.seed)
-    ensemble = boost_fit(
-        dataset, dataset.responses, args.stages, args.lr, _fit_params(args),
-        rotate=not args.no_rotate, soft_c=args.soft_c, rule=args.rule, seed=args.seed,
-    )
-    fitted = ensemble_predict(ensemble, dataset.locations)
-    metrics = {"train_mse": _mse(fitted, dataset.responses), "signal_sd": signal_sd(args.signal)}
-    checkpoints = _checkpoints(args)
-    metrics.update(_test_metrics(
-        args, lambda pts: boost_predict_trace(ensemble, pts, checkpoints),
-    ))
-    return metrics
-
-
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
@@ -321,8 +304,7 @@ def _add_data_source(sub):
 
 
 def _add_ensemble_knobs(sub):
-    sub.add_argument("--rule", default="adapt",
-                     choices=["balance", "balance4", "adapt", "adapt_vertex"])
+    sub.add_argument("--rule", default="adapt", choices=RULES)
     sub.add_argument("--soft-c", type=float, default=0.0, help="per-stage threshold factor")
     sub.add_argument("--no-rotate", action="store_true")
 
@@ -337,8 +319,7 @@ def build_parser():
     fit = commands.add_parser("fit", help="single greedy tree")
     _add_data_source(fit)
     _add_common(fit, seed_required=False)
-    fit.add_argument("--rule", default="adapt",
-                     choices=["balance", "balance4", "adapt", "adapt_vertex"])
+    fit.add_argument("--rule", default="adapt", choices=RULES)
     fit.set_defaults(handler=_cmd_fit)
 
     den = commands.add_parser("denoise", help="pilot sigma, greedy fit, soft threshold")
@@ -386,8 +367,7 @@ def build_parser():
     _add_data_source(quant)
     _add_common(quant)
     quant.add_argument("--members", type=int, default=500)
-    quant.add_argument("--rule", default="adapt",
-                       choices=["balance", "balance4", "adapt", "adapt_vertex"])
+    quant.add_argument("--rule", default="adapt", choices=RULES)
     quant.add_argument("--q", default="0.05,0.95", help="comma-separated levels")
     quant.add_argument("--queries", help="CSV of query points")
     quant.set_defaults(handler=_cmd_quantiles)
@@ -407,7 +387,7 @@ def build_parser():
     bench.add_argument("--stages", type=int, required=True)
     bench.add_argument("--lr", type=float, default=0.05)
     bench.add_argument("--checkpoints", help="comma-separated stage counts")
-    bench.set_defaults(handler=_cmd_bench)
+    bench.set_defaults(handler=_cmd_boost)
 
     return parser
 

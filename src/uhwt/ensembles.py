@@ -11,23 +11,24 @@ Forests fit every member independently on the full responses and predict
 by the mean; quantile prediction inverts the weighted empirical CDF with
 the classic leaf-sharing weights.
 
-Stage rotations and member rotations draw from named streams keyed by
-(seed, stream, index), so results are independent of evaluation order.
-Forest members may be fit in parallel (UHWT_THREADS); boosting stages are
-inherently sequential.
+Every stage and every member is one call of fit_learner, the shared
+weak learner: a rotated sphere model or the grid denoise pipeline, with
+its threshold tau.  Stage rotations and member rotations draw from named
+streams keyed by (seed, stream, index), so results are independent of
+evaluation order.  Members and stages are fit one after another on the
+calling thread: the work is GIL-bound Python, so worker threads would
+only contend for the interpreter lock.
 """
 
 import json
-import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._streams import MEMBER, STAGE, stream_rng, thread_count
-from .core import GRID, SPHERE, batch_reconstruct, tree_from_dict, tree_to_dict
+from ._streams import MEMBER, STAGE, stream_rng
+from .core import SPHERE, batch_reconstruct, tree_from_dict, tree_to_dict
 from .errors import InvalidQuantileError
-from .grid import fit_uhwt, pilot_sigma, soft_threshold
+from .grid import fit_shrunk, universal_tau
 from .sphere import (
     SphereModel,
     fit_sphere,
@@ -66,12 +67,6 @@ class ForestEnsemble:
     rule: str = None
 
 
-def _universal_tau(soft_c, sigma_hat, n):
-    if soft_c <= 0 or sigma_hat is None or n <= 1:
-        return 0.0
-    return soft_c * sigma_hat * math.sqrt(2.0 * math.log(n))
-
-
 def _stage_train_values(model, n, kind):
     """Fitted values of one learner at its own training points."""
     from .core import tree_fit_values
@@ -86,23 +81,30 @@ def _stage_train_values(model, n, kind):
     return tree_fit_values(model, shrunk=True)
 
 
-def _fit_stage(dataset, residual, params, rule, rotation, soft_c):
-    n = dataset.n
-    if dataset.kind == SPHERE:
-        model = fit_sphere(
-            dataset, residual, rule, params, rotation=rotation,
-            compute_sigma=soft_c > 0,
-        )
-        tau = _universal_tau(soft_c, model.sigma_hat, n)
-        sphere_shrink(model, tau)
-    else:
-        sigma_hat = None
-        if soft_c > 0 or params.early_stop_b > 0:
-            sigma_hat = params.sigma if params.sigma is not None else pilot_sigma(dataset, residual, params)
-        model = fit_uhwt(dataset, residual, params, sigma_hat=sigma_hat)
-        tau = _universal_tau(soft_c, sigma_hat, n)
-        model.set_shrunk(lambda w: soft_threshold(w, tau))
+def fit_learner(dataset, responses, params, rule, rotation, soft_c):
+    """One weak learner fit to responses, soft-thresholded; returns (model, tau).
+
+    On the sphere: a SphereModel grown with `rule` on the rotated locations,
+    thresholded at tau = soft_c * sigma_hat * sqrt(2 log n) with its pooled
+    MAD sigma_hat.  On a grid: grid.fit_shrunk with soft_a = soft_c
+    (`rule` and `rotation` are unused).
+    """
+    if soft_c < 0:
+        raise ValueError("soft_c must be >= 0")
+    if dataset.kind != SPHERE:
+        return fit_shrunk(dataset, responses, replace(params, soft_a=soft_c))
+    model = fit_sphere(dataset, responses, rule, params, rotation=rotation,
+                       compute_sigma=soft_c > 0)
+    tau = universal_tau(soft_c, model.sigma_hat, dataset.n)
+    sphere_shrink(model, tau)
     return model, tau
+
+
+def _rotation(dataset, rotate, seed, stream, index):
+    """Haar rotation of one stage or member on the sphere; None on grids."""
+    if dataset.kind != SPHERE:
+        return None
+    return haar_rotation(stream_rng(seed, stream, index)) if rotate else np.eye(3)
 
 
 def boost_fit(dataset, responses, n_stages, eta, params, rotate=True,
@@ -117,10 +119,8 @@ def boost_fit(dataset, responses, n_stages, eta, params, rotate=True,
     fitted = np.full(dataset.n, intercept)
     stages = []
     for t in range(n_stages):
-        rotation = None
-        if dataset.kind == SPHERE:
-            rotation = haar_rotation(stream_rng(seed, STAGE, t)) if rotate else np.eye(3)
-        model, tau = _fit_stage(dataset, responses - fitted, params, rule, rotation, soft_c)
+        rotation = _rotation(dataset, rotate, seed, STAGE, t)
+        model, tau = fit_learner(dataset, responses - fitted, params, rule, rotation, soft_c)
         fitted += eta * _stage_train_values(model, dataset.n, dataset.kind)
         stages.append(BoostStage(rotation, model, tau))
     return BoostEnsemble(intercept, eta, stages, dataset.kind, rule)
@@ -175,27 +175,11 @@ def rre_fit(dataset, responses, n_members, params, rule="adapt", seed=0,
         raise ValueError("need at least one member")
     responses = np.asarray(responses, dtype=np.float64)
 
-    def build(i):
-        if dataset.kind == SPHERE:
-            rotation = haar_rotation(stream_rng(seed, MEMBER, i)) if rotate else np.eye(3)
-            model = fit_sphere(dataset, responses, rule, params, rotation=rotation,
-                               compute_sigma=soft_c > 0)
-            sphere_shrink(model, _universal_tau(soft_c, model.sigma_hat, dataset.n))
-            return model
-        sigma_hat = None
-        if soft_c > 0 or params.early_stop_b > 0:
-            sigma_hat = params.sigma if params.sigma is not None else pilot_sigma(dataset, responses, params)
-        tree = fit_uhwt(dataset, responses, params, sigma_hat=sigma_hat)
-        tau = _universal_tau(soft_c, sigma_hat, dataset.n)
-        tree.set_shrunk(lambda w: soft_threshold(w, tau))
-        return tree
-
-    workers = min(thread_count(), n_members)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            members = list(pool.map(build, range(n_members)))
-    else:
-        members = [build(i) for i in range(n_members)]
+    members = [
+        fit_learner(dataset, responses, params, rule,
+                    _rotation(dataset, rotate, seed, MEMBER, i), soft_c)[0]
+        for i in range(n_members)
+    ]
     return ForestEnsemble(members, dataset.kind, responses.copy(), rule)
 
 

@@ -198,6 +198,11 @@ def fit_uhwt(dataset, responses, params, sigma_hat=None):
     return tree
 
 
+def pilot_depth(params, n):
+    """Depth of a pilot tree: min(max_depth, ceil(log2 n)), at least 1."""
+    return min(params.max_depth, max(1, math.ceil(math.log2(max(2, n)))))
+
+
 def pilot_sigma(dataset, responses, params):
     """Noise scale from a throwaway pilot tree.
 
@@ -205,9 +210,9 @@ def pilot_sigma(dataset, responses, params):
     min(max_depth, ceil(log2 n)); its deepest coefficients feed the MAD
     estimate and the pilot is discarded.
     """
-    depth = min(params.max_depth, max(1, math.ceil(math.log2(max(2, dataset.n)))))
     pilot_params = replace(
-        params, early_stop_b=0.0, min_leaf=1, max_depth=depth, sigma=None, soft_a=0.0,
+        params, early_stop_b=0.0, min_leaf=1, max_depth=pilot_depth(params, dataset.n),
+        sigma=None, soft_a=0.0,
     )
     pilot = fit_uhwt(dataset, responses, pilot_params)
     try:
@@ -217,21 +222,35 @@ def pilot_sigma(dataset, responses, params):
     return estimate_sigma_mad(coefficients)
 
 
+def universal_tau(a, sigma_hat, n):
+    """Threshold a * sigma_hat * sqrt(2 log n); 0 when a <= 0, sigma_hat is None or n <= 1."""
+    if a <= 0 or sigma_hat is None or n <= 1:
+        return 0.0
+    return a * sigma_hat * math.sqrt(2.0 * math.log(n))
+
+
+def fit_shrunk(dataset, responses, params):
+    """Pilot sigma, greedy fit and soft thresholding; returns (tree, tau).
+
+    sigma_hat is params.sigma, else a pilot estimate when soft_a or
+    early_stop_b needs one; every internal node gets w_tilde =
+    soft_threshold(w, tau) with tau = soft_a * sigma_hat * sqrt(2 log n).
+    This is the grid learner of denoise and of the ensembles.
+    """
+    responses = np.asarray(responses, dtype=np.float64)
+    sigma_hat = params.sigma
+    if sigma_hat is None and (params.soft_a > 0 or params.early_stop_b > 0):
+        sigma_hat = pilot_sigma(dataset, responses, params)
+    tree = fit_uhwt(dataset, responses, params, sigma_hat=sigma_hat)
+    tau = universal_tau(params.soft_a, sigma_hat, dataset.n)
+    tree.set_shrunk(lambda w: soft_threshold(w, tau))
+    return tree, tau
+
+
 def denoise(dataset, responses, params):
     """Full pipeline: pilot sigma, greedy fit, soft-thresholded coefficients.
 
-    Returns the fitted tree with w_tilde = soft_threshold(w, soft_a *
-    sigma_hat * sqrt(2 log n)) at every internal node; predictions come
-    from reconstruct/tree_fit_values with shrunk=True.
+    Returns the fitted tree of fit_shrunk; predictions come from
+    reconstruct/tree_fit_values with shrunk=True.
     """
-    responses = np.asarray(responses, dtype=np.float64)
-    if params.sigma is not None:
-        sigma_hat = params.sigma
-    elif params.soft_a > 0 or params.early_stop_b > 0:
-        sigma_hat = pilot_sigma(dataset, responses, params)
-    else:
-        sigma_hat = 0.0
-    tree = fit_uhwt(dataset, responses, params, sigma_hat=sigma_hat)
-    tau = params.soft_a * sigma_hat * math.sqrt(2.0 * math.log(dataset.n)) if dataset.n > 1 else 0.0
-    tree.set_shrunk(lambda w: soft_threshold(w, tau))
-    return tree
+    return fit_shrunk(dataset, responses, params)[0]

@@ -1,10 +1,11 @@
 """File formats: PGM images, raw tensors, sphere CSVs, summary grids."""
 
+import math
 import struct
 
 import numpy as np
 
-from .core import grid_dataset, sphere_dataset
+from .core import sphere_dataset
 from .errors import (
     BadMagicError,
     DimensionMismatchError,
@@ -48,7 +49,10 @@ def load_pgm(path):
     if data[:2] not in (b"P2", b"P5"):
         raise BadMagicError("not a P2/P5 PGM file")
     tokens, offset = _pgm_tokens(data)
-    width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
+    try:
+        width, height, maxval = (int(tok) for tok in tokens[1:])
+    except ValueError:
+        raise DimensionMismatchError("PGM width, height and maxval must be integers") from None
     if maxval <= 0 or maxval > 65535:
         raise DimensionMismatchError("PGM maxval must lie in [1, 65535]")
     count = width * height
@@ -80,35 +84,42 @@ def save_pgm(path, img, maxval=255):
 # raw tensor container: magic, u32 D, u32 dims[D], little-endian f64 payload
 # ---------------------------------------------------------------------------
 
-def load_tensor(path):
+def _container_header(magic, dims):
+    return magic + struct.pack(f"<I{len(dims)}I", len(dims), *dims)
+
+
+def _load_container(path, magic, what, n_payloads):
+    """Payload arrays of a file: magic, u32 D, u32 dims[D], n_payloads f64 blocks."""
     with open(path, "rb") as fh:
         data = fh.read()
-    if data[:4] != TENSOR_MAGIC:
-        raise BadMagicError("missing tensor magic")
+    if data[:4] != magic:
+        raise BadMagicError(f"missing {what} magic")
     if len(data) < 8:
-        raise TruncatedPayloadError("tensor header ends early")
+        raise TruncatedPayloadError(f"{what} header ends early")
     ndim = struct.unpack("<I", data[4:8])[0]
     if ndim == 0 or ndim > 16:
-        raise DimensionMismatchError(f"unreasonable tensor rank {ndim}")
+        raise DimensionMismatchError(f"unreasonable {what} rank {ndim}")
     header_end = 8 + 4 * ndim
     if len(data) < header_end:
-        raise TruncatedPayloadError("tensor dims end early")
+        raise TruncatedPayloadError(f"{what} dims end early")
     dims = struct.unpack(f"<{ndim}I", data[8:header_end])
     if any(d == 0 for d in dims):
-        raise DimensionMismatchError("zero-length tensor axis")
-    count = int(np.prod(dims))
-    if len(data) < header_end + 8 * count:
-        raise TruncatedPayloadError("tensor payload ends early")
-    payload = np.frombuffer(data[header_end:header_end + 8 * count], dtype="<f8")
-    return payload.reshape(dims).copy()
+        raise DimensionMismatchError(f"zero-length {what} axis")
+    size = 8 * math.prod(dims)
+    if len(data) < header_end + n_payloads * size:
+        raise TruncatedPayloadError(f"{what} payload ends early")
+    starts = range(header_end, header_end + n_payloads * size, size)
+    return [np.frombuffer(data[a:a + size], dtype="<f8").reshape(dims).copy() for a in starts]
+
+
+def load_tensor(path):
+    return _load_container(path, TENSOR_MAGIC, "tensor", 1)[0]
 
 
 def save_tensor(path, array):
     array = np.asarray(array, dtype=np.float64)
     with open(path, "wb") as fh:
-        fh.write(TENSOR_MAGIC)
-        fh.write(struct.pack("<I", array.ndim))
-        fh.write(struct.pack(f"<{array.ndim}I", *array.shape))
+        fh.write(_container_header(TENSOR_MAGIC, array.shape))
         fh.write(array.astype("<f8").tobytes(order="C"))
 
 
@@ -133,7 +144,7 @@ def load_sphere_csv(path):
     Rows with norm below 1e-6 are dropped.
     """
     raw = np.genfromtxt(path, delimiter=",", names=True, dtype=np.float64)
-    points = np.stack([raw["x"], raw["y"], raw["z"]], axis=1).reshape(-1, 3)
+    points = np.stack([np.atleast_1d(raw[c]) for c in "xyz"], axis=1)
     values = np.atleast_1d(raw["value"])
     norms = np.linalg.norm(points, axis=1)
     keep = norms >= 1e-6
@@ -172,9 +183,7 @@ def save_summary_grid(path, mean, sd, width, dims):
     dims = tuple(int(d) for d in dims)
     count = int(np.prod(dims))
     with open(path, "wb") as fh:
-        fh.write(SUMMARY_MAGIC)
-        fh.write(struct.pack("<I", len(dims)))
-        fh.write(struct.pack(f"<{len(dims)}I", *dims))
+        fh.write(_container_header(SUMMARY_MAGIC, dims))
         for payload in (mean, sd, width):
             payload = np.asarray(payload, dtype=np.float64).ravel()
             if payload.size != count:
@@ -183,26 +192,5 @@ def save_summary_grid(path, mean, sd, width, dims):
 
 
 def load_summary_grid(path):
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:4] != SUMMARY_MAGIC:
-        raise BadMagicError("missing summary magic")
-    if len(data) < 8:
-        raise TruncatedPayloadError("summary header ends early")
-    ndim = struct.unpack("<I", data[4:8])[0]
-    if ndim == 0 or ndim > 16:
-        raise DimensionMismatchError(f"unreasonable summary rank {ndim}")
-    header_end = 8 + 4 * ndim
-    if len(data) < header_end:
-        raise TruncatedPayloadError("summary dims end early")
-    dims = struct.unpack(f"<{ndim}I", data[8:header_end])
-    if any(d == 0 for d in dims):
-        raise DimensionMismatchError("zero-length summary axis")
-    count = int(np.prod(dims))
-    if len(data) < header_end + 3 * 8 * count:
-        raise TruncatedPayloadError("summary payload ends early")
-    out = []
-    for k in range(3):
-        start = header_end + k * 8 * count
-        out.append(np.frombuffer(data[start:start + 8 * count], dtype="<f8").reshape(dims).copy())
-    return tuple(out)
+    """(mean, sd, width) arrays of a posterior summary grid."""
+    return tuple(_load_container(path, SUMMARY_MAGIC, "summary", 3))

@@ -14,7 +14,6 @@ Face trees are independent and may be grown in parallel; a fitted model
 is immutable and thread-safe.
 """
 
-import math
 from collections import deque
 from dataclasses import dataclass, replace
 
@@ -22,7 +21,7 @@ import numpy as np
 
 from .core import UHTree, batch_reconstruct, sphere_dataset, triangle_cell, uh_coefficient
 from .errors import NoInternalNodesError
-from .grid import collect_deep_coefficients, estimate_sigma_mad
+from .grid import collect_deep_coefficients, estimate_sigma_mad, pilot_depth
 from .sphere_geom import assign_faces, fan_split, icosahedron, split_triangle
 
 BASE = icosahedron()
@@ -53,9 +52,6 @@ class SphereModel:
     rule: str
     params: object
     sigma_hat: float = None
-
-    def face_of(self, rotated_points):
-        return assign_faces(BASE, rotated_points)
 
 
 def _check_rotation(rotation):
@@ -95,22 +91,26 @@ def _grow_face(verts, members, rotated, responses, rule, params, threshold, fall
     return tree
 
 
-def _pooled_pilot_sigma(face_members, rotated, responses, rule, params, fallback):
-    depth = min(params.max_depth, max(1, math.ceil(math.log2(max(2, rotated.n)))))
-    pilot_params = replace(params, early_stop_b=0.0, min_leaf=1, max_depth=depth, soft_a=0.0)
+def _pooled_sigma(trees):
+    """MAD estimate from the deep coefficients of all face trees (0 if none)."""
     coefficients = []
-    for j in range(BASE.n_faces):
-        tree = _grow_face(
-            BASE.face_vertices(j), face_members[j], rotated, responses,
-            rule, pilot_params, 0.0, fallback,
-        )
+    for tree in trees:
         try:
             coefficients.extend(collect_deep_coefficients(tree))
         except NoInternalNodesError:
             pass
-    if not coefficients:
-        return 0.0
-    return estimate_sigma_mad(coefficients)
+    return estimate_sigma_mad(coefficients) if coefficients else 0.0
+
+
+def _pooled_pilot_sigma(face_members, rotated, responses, rule, params, fallback):
+    pilot_params = replace(
+        params, early_stop_b=0.0, min_leaf=1, max_depth=pilot_depth(params, rotated.n), soft_a=0.0,
+    )
+    return _pooled_sigma(
+        _grow_face(BASE.face_vertices(j), face_members[j], rotated, responses,
+                   rule, pilot_params, 0.0, fallback)
+        for j in range(BASE.n_faces)
+    )
 
 
 def fit_sphere(dataset, responses, rule, params, rotation=None,
@@ -135,12 +135,11 @@ def fit_sphere(dataset, responses, rule, params, rotation=None,
     sigma_hat = None
     threshold = 0.0
     need_sigma = params.early_stop_b > 0 or compute_sigma
-    pilot_depth = min(params.max_depth, max(1, math.ceil(math.log2(max(2, dataset.n)))))
     # with no early stopping and min_leaf 1 the fitted trees coincide with
     # the pilot pass, so their own deep coefficients give the MAD estimate
     reuse_as_pilot = (
         need_sigma and params.sigma is None and params.early_stop_b == 0
-        and params.min_leaf == 1 and params.max_depth >= pilot_depth
+        and params.min_leaf == 1 and params.max_depth >= pilot_depth(params, dataset.n)
     )
     if need_sigma and not reuse_as_pilot:
         if params.sigma is not None:
@@ -160,13 +159,7 @@ def fit_sphere(dataset, responses, rule, params, rotation=None,
         for j in range(BASE.n_faces)
     ]
     if reuse_as_pilot:
-        coefficients = []
-        for tree in trees:
-            try:
-                coefficients.extend(collect_deep_coefficients(tree))
-            except NoInternalNodesError:
-                pass
-        sigma_hat = estimate_sigma_mad(coefficients) if coefficients else 0.0
+        sigma_hat = _pooled_sigma(trees)
     return SphereModel(rotation, trees, global_mean, rule, params, sigma_hat)
 
 

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from uhwt.cli import main
-from uhwt.io import load_summary_grid, load_tensor, save_pgm, save_tensor
-from uhwt.signals import blocks_1d
+from uhwt.io import load_summary_grid, load_tensor, save_pgm, save_sphere_csv, save_tensor
+from uhwt.signals import blocks_1d, generate_sphere_synthetic
 
 
 @pytest.fixture()
@@ -38,6 +38,11 @@ class TestExitCodes:
 
     def test_missing_input_is_config_error(self, capsys):
         assert main(["denoise"]) == 2
+
+    @pytest.mark.parametrize("source", [[], ["--signal", "fig5"]], ids=["none", "signal_without_n"])
+    def test_bench_without_data_is_config_error(self, source, capsys):
+        assert main(["bench", "--stages", "2", "--seed", "1", *source]) == 2
+        assert "error: " in capsys.readouterr().err
 
     def test_runtime_failure(self, tmp_path, capsys):
         missing = tmp_path / "nope.pgm"
@@ -114,6 +119,19 @@ class TestSphereCommands:
             record["metrics"].pop("runtime_s")
             records.append(json.dumps(record, sort_keys=True))
         assert records[0] == records[1]
+
+    def test_bench_runs_boost(self, tmp_path):
+        data = generate_sphere_synthetic("fig5", 40, 0.1, seed=2)
+        csv = tmp_path / "train.csv"
+        save_sphere_csv(csv, data.locations, data.responses)
+        common = ["--stages", "2", "--lr", "0.2", "--soft-c", "0.2", "--seed", "2"]
+        for source in (["--input", str(csv)], ["--signal", "fig5", "--n", "40", "--test-n", "30"]):
+            bench = run_record(["bench", *source, *common], tmp_path, "bench.json")
+            boost = run_record(["boost", *source, *common], tmp_path, "boost.json")
+            bench["metrics"].pop("runtime_s")
+            boost["metrics"].pop("runtime_s")
+            assert bench["metrics"] == boost["metrics"]
+            assert ("signal_sd" in bench["metrics"]) == ("--signal" in source)
 
     def test_boost_model_out_round_trips(self, tmp_path):
         model_path = tmp_path / "model.json"

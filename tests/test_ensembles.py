@@ -235,3 +235,25 @@ class TestModelFiles:
         np.testing.assert_array_equal(
             ensemble_predict(ens, ds.locations), ensemble_predict(loaded, ds.locations),
         )
+
+
+def test_negative_soft_c_is_rejected():
+    data = generate_sphere_synthetic("fig5", 30, 0.1, seed=1)
+    with pytest.raises(ValueError, match="soft_c"):
+        boost_fit(data, data.responses, 1, 0.5, GridFitParams(max_depth=4), soft_c=-0.1)
+    with pytest.raises(ValueError, match="soft_c"):
+        rre_fit(data, data.responses, 1, GridFitParams(max_depth=4), soft_c=-0.1)
+
+
+def test_forest_members_fit_on_the_calling_thread(monkeypatch):
+    import threading
+
+    import uhwt.ensembles as ens
+
+    threads = []
+    real = ens.fit_sphere
+    monkeypatch.setattr(ens, "fit_sphere",
+                        lambda *a, **k: threads.append(threading.get_ident()) or real(*a, **k))
+    data = generate_sphere_synthetic("fig5", 30, 0.1, seed=1)
+    rre_fit(data, data.responses, 3, GridFitParams(max_depth=4), seed=1)
+    assert threads == [threading.get_ident()] * 3

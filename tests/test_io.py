@@ -67,6 +67,12 @@ class TestPgm:
         with pytest.raises(DimensionMismatchError):
             load_pgm(path)
 
+    def test_non_numeric_header(self, tmp_path):
+        path = tmp_path / "word.pgm"
+        path.write_text("P2\nabc 2\n255\n1 2")
+        with pytest.raises(DimensionMismatchError):
+            load_pgm(path)
+
 
 class TestTensor:
     def test_round_trip_bit_identical(self, tmp_path):
@@ -121,6 +127,13 @@ class TestSphereCsv:
         ds = load_sphere_csv(path)
         np.testing.assert_allclose(np.linalg.norm(ds.locations, axis=1), 1.0)
         np.testing.assert_allclose(ds.responses, [1.5, -0.5])
+
+    def test_single_row(self, tmp_path):
+        path = tmp_path / "one.csv"
+        path.write_text("x,y,z,value\n1,0,0,1\n")
+        ds = load_sphere_csv(path)
+        np.testing.assert_array_equal(ds.locations, [[1.0, 0.0, 0.0]])
+        np.testing.assert_array_equal(ds.responses, [1.0])
 
     def test_tiny_rows_dropped(self, tmp_path):
         path = tmp_path / "pts.csv"
