@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Cell, UHTree, make_axis_split, root_cell_grid
+from .core import Cell, UHTree, haar_coefficient, make_axis_split, root_cell_grid, sse
 from .errors import ExplosionGuardError, TooFewDrawsError
 from ._streams import CHAIN, stream_rng
 
@@ -162,32 +162,59 @@ def valid_dimensions(members, dataset):
     ]
 
 
+def _split_law(cell, prior, dataset):
+    """The prior's split law at a cell: (dims, lam, thresholds, B).
+
+    dims are the valid dimensions and lam their weights; thresholds[j] and
+    B[j] are the admissible thresholds along dims[j] and their location
+    weights.  np.unique runs once per dimension; every list is empty when
+    no dimension is valid.
+    """
+    xs = [np.unique(dataset.locations[cell.members, d]) for d in range(dataset.ndim)]
+    dims = [d for d in range(dataset.ndim) if xs[d].size > 1]
+    if not dims:
+        return [], [], [], []
+    lam = prior.dim_weights(cell, dataset, dims)
+    thresholds = [0.5 * (xs[d][:-1] + xs[d][1:]) for d in dims]
+    bws = [prior.loc_weights(cell, dataset, d, t) for d, t in zip(dims, thresholds)]
+    return dims, lam, thresholds, bws
+
+
 def _split_members(members, dataset, dim, loc):
     mask = dataset.locations[members, dim] < loc
     return members[mask], members[~mask]
-
-
-def _sse(responses, members):
-    vals = responses[members]
-    return float(((vals - vals.mean()) ** 2).sum()) if members.size else 0.0
-
-
-def _coef(responses, left, right):
-    scale = math.sqrt(left.size * right.size / (left.size + right.size))
-    return scale * (responses[left].mean() - responses[right].mean())
 
 
 def marginal_M(cell, dim, loc, model, dataset, responses):
     """Density of the cell's coefficient at split (dim, loc) under the model."""
     responses = np.asarray(responses, dtype=np.float64)
     left, right = _split_members(cell.members, dataset, dim, loc)
-    w = _coef(responses, left, right)
+    w = haar_coefficient(responses, left, right)
     return coefficient_density(w, model)
 
 
 # ---------------------------------------------------------------------------
 # exact marginal likelihood recursion
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Chain:
+    """What the exact recursion holds fixed: prior, data, models, the cell cache.
+
+    The plain chain (latent None) scores every split with ``model`` and may
+    stop unless ``no_stop``; the latent chain scores the splits of a node in
+    state s with latent.state_models[s] and never stops.
+    """
+
+    prior: RuhwtPrior
+    model: CoefficientModel
+    dataset: object
+    responses: np.ndarray
+    no_stop: bool
+    latent: LatentMarkov
+    cache: dict
+    cap: int
+
 
 def phi(cell, prior, model, dataset, responses, no_stop=False,
         latent=None, state=None, cache=None, cell_cap=10 ** 6):
@@ -199,92 +226,72 @@ def phi(cell, prior, model, dataset, responses, no_stop=False,
     splits non-atomic cells (the latent states carry any stopping).
     """
     responses = np.asarray(responses, dtype=np.float64)
-    if cache is None:
-        cache = {}
-    if latent is not None:
-        s = latent.root_state if state is None else state
-        return _phi_latent(cell.members, cell.depth, s, prior, latent, dataset,
-                           responses, cache, cell_cap)
-    return _phi_rec(cell.members, cell.depth, prior, model, dataset, responses,
-                    no_stop, cache, cell_cap)
+    chain = _Chain(prior, model, dataset, responses, no_stop, latent,
+                   {} if cache is None else cache, cell_cap)
+    if latent is None:
+        state = None
+    elif state is None:
+        state = latent.root_state
+    return _phi_rec(cell.members, cell.depth, state, chain)
 
 
-def _guard(cache, cap):
-    if len(cache) > cap:
-        raise ExplosionGuardError(f"more than {cap} distinct cells reached")
+def _stop_and_branches(members, depth, state, chain):
+    """Stop mass of a non-atomic cell and its (weight, model, child state) branches.
+
+    The plain chain has one branch of weight p_split (1 under no_stop); the
+    latent chain has one per next state s', of weight K[state, s'].
+    """
+    if chain.latent is not None:
+        kernel = chain.latent.kernel(depth)
+        return 0.0, [(kernel[state, s], chain.latent.state_models[s], s)
+                     for s in range(chain.latent.n_states) if kernel[state, s] != 0.0]
+    if chain.no_stop:
+        return 0.0, [(1.0, chain.model, None)]
+    leaf = math.exp(-sse(chain.responses, members) / (2.0 * chain.model.sigma ** 2))
+    if depth >= chain.prior.max_depth:
+        return leaf, []
+    p = chain.prior.split_prob(depth)
+    return (1.0 - p) * leaf, [(p, chain.model, None)]
 
 
-def _phi_rec(members, depth, prior, model, dataset, responses, no_stop, cache, cap):
-    key = (members.tobytes(), depth)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    _guard(cache, cap)
-    if members.size == 1:
-        cache[key] = 1.0
-        return 1.0
-    dims = valid_dimensions(members, dataset)
-    cell = Cell(members, depth)
-    leaf_factor = math.exp(-_sse(responses, members) / (2.0 * model.sigma ** 2))
-    if no_stop:
-        p = 1.0
-    elif not dims or depth >= prior.max_depth:
-        cache[key] = leaf_factor
-        return leaf_factor
-    else:
-        p = prior.split_prob(depth)
-    lam = prior.dim_weights(cell, dataset, dims)
-    acc = 0.0
-    for lam_d, dim in zip(lam, dims):
-        thresholds = admissible_thresholds(members, dataset, dim)
-        bw = prior.loc_weights(cell, dataset, dim, thresholds)
-        inner = 0.0
-        for b, loc in zip(bw, thresholds):
-            left, right = _split_members(members, dataset, dim, loc)
-            m = coefficient_density(_coef(responses, left, right), model)
-            inner += b * m \
-                * _phi_rec(left, depth + 1, prior, model, dataset, responses, no_stop, cache, cap) \
-                * _phi_rec(right, depth + 1, prior, model, dataset, responses, no_stop, cache, cap)
-        acc += lam_d * inner
-    value = acc if no_stop else (1.0 - p) * leaf_factor + p * acc
-    cache[key] = value
-    return value
+def _cell_splits(members, depth, chain):
+    """The cell's splits by dimension: [(dim, lam_d, [(loc, left, right, B(loc), w), ...])]."""
+    dims, lam, thresholds, bws = _split_law(Cell(members, depth), chain.prior, chain.dataset)
+    groups = []
+    for dim, lam_d, locs, bw in zip(dims, lam, thresholds, bws):
+        group = []
+        for b, loc in zip(bw, locs):
+            left, right = _split_members(members, chain.dataset, dim, loc)
+            group.append((loc, left, right, b, haar_coefficient(chain.responses, left, right)))
+        groups.append((dim, lam_d, group))
+    return groups
 
 
-def _phi_latent(members, depth, state, prior, latent, dataset, responses, cache, cap):
+def _phi_rec(members, depth, state, chain):
     key = (members.tobytes(), depth, state)
-    hit = cache.get(key)
+    hit = chain.cache.get(key)
     if hit is not None:
         return hit
-    _guard(cache, cap)
-    if members.size == 1:
-        cache[key] = 1.0
-        return 1.0
-    dims = valid_dimensions(members, dataset)
-    cell = Cell(members, depth)
-    kernel = latent.kernel(depth)
-    lam = prior.dim_weights(cell, dataset, dims)
-    total = 0.0
-    for s_next in range(latent.n_states):
-        rho = kernel[state, s_next]
-        if rho == 0.0:
-            continue
-        model = latent.state_models[s_next]
-        acc = 0.0
-        for lam_d, dim in zip(lam, dims):
-            thresholds = admissible_thresholds(members, dataset, dim)
-            bw = prior.loc_weights(cell, dataset, dim, thresholds)
-            inner = 0.0
-            for b, loc in zip(bw, thresholds):
-                left, right = _split_members(members, dataset, dim, loc)
-                m = coefficient_density(_coef(responses, left, right), model)
-                inner += b * m \
-                    * _phi_latent(left, depth + 1, s_next, prior, latent, dataset, responses, cache, cap) \
-                    * _phi_latent(right, depth + 1, s_next, prior, latent, dataset, responses, cache, cap)
-            acc += lam_d * inner
-        total += rho * acc
-    cache[key] = total
-    return total
+    if len(chain.cache) > chain.cap:
+        raise ExplosionGuardError(f"more than {chain.cap} distinct cells reached")
+    value = 1.0
+    if members.size > 1:
+        value, branches = _stop_and_branches(members, depth, state, chain)
+        splits = _cell_splits(members, depth, chain) if branches else []
+        total = 0.0
+        for weight, model, s_next in branches:
+            acc = 0.0
+            for _, lam_d, group in splits:
+                inner = 0.0
+                for _, left, right, b, w in group:
+                    inner += b * coefficient_density(w, model) \
+                        * _phi_rec(left, depth + 1, s_next, chain) \
+                        * _phi_rec(right, depth + 1, s_next, chain)
+                acc += lam_d * inner
+            total += weight * acc
+        value += total
+    chain.cache[key] = value
+    return value
 
 
 def posterior_split_distribution(cell, prior, model, dataset, responses,
@@ -292,33 +299,27 @@ def posterior_split_distribution(cell, prior, model, dataset, responses,
     """Exact stop probability and per-(dim, loc) split probabilities.
 
     Splits are weighted by lambda_d * B(loc) * M(w) * Phi(left) * Phi(right);
-    the stop branch carries (1 - p_split) times the leaf likelihood.
+    the stop branch carries (1 - p_split) times the leaf likelihood.  A
+    cache filled by phi with the same arguments is reused as is.
     """
     responses = np.asarray(responses, dtype=np.float64)
-    if cache is None:
-        cache = {}
+    chain = _Chain(prior, model, dataset, responses, no_stop, None,
+                   {} if cache is None else cache, 10 ** 6)
     members, depth = cell.members, cell.depth
-    dims = valid_dimensions(members, dataset)
-    if members.size == 1 or not dims or (not no_stop and depth >= prior.max_depth):
+    if members.size == 1:
         return 1.0, []
-    p = 1.0 if no_stop else prior.split_prob(depth)
-    lam = prior.dim_weights(cell, dataset, dims)
+    stop_mass, branches = _stop_and_branches(members, depth, None, chain)
+    if not branches:
+        return 1.0, []
+    ((p, _, _),) = branches
     entries = []
-    for lam_d, dim in zip(lam, dims):
-        thresholds = admissible_thresholds(members, dataset, dim)
-        bw = prior.loc_weights(cell, dataset, dim, thresholds)
-        for b, loc in zip(bw, thresholds):
-            left, right = _split_members(members, dataset, dim, loc)
-            m = coefficient_density(_coef(responses, left, right), model)
-            weight = lam_d * b * m \
-                * _phi_rec(left, depth + 1, prior, model, dataset, responses, no_stop, cache, 10 ** 6) \
-                * _phi_rec(right, depth + 1, prior, model, dataset, responses, no_stop, cache, 10 ** 6)
+    for dim, lam_d, group in _cell_splits(members, depth, chain):
+        for loc, left, right, b, w in group:
+            weight = lam_d * b * coefficient_density(w, model) \
+                * _phi_rec(left, depth + 1, None, chain) \
+                * _phi_rec(right, depth + 1, None, chain)
             entries.append((dim, float(loc), weight))
     split_mass = p * sum(e[2] for e in entries)
-    if no_stop:
-        stop_mass = 0.0
-    else:
-        stop_mass = (1.0 - p) * math.exp(-_sse(responses, members) / (2.0 * model.sigma ** 2))
     total = stop_mass + split_mass
     probs = [(d, loc, p * w / total) for d, loc, w in entries]
     return stop_mass / total, probs
@@ -351,17 +352,14 @@ def sample_prior_tree(prior, dataset, rng):
         cell = tree.nodes[nid].cell
         if cell.mass < 2 or cell.depth >= prior.max_depth:
             continue
-        dims = valid_dimensions(cell.members, dataset)
+        dims, lam, thresholds, bws = _split_law(cell, prior, dataset)
         if not dims:
             continue
         if rng.uniform() >= prior.split_prob(cell.depth):
             continue
-        lam = prior.dim_weights(cell, dataset, dims)
-        dim = dims[rng.choice(len(dims), p=lam)]
-        thresholds = admissible_thresholds(cell.members, dataset, dim)
-        bw = prior.loc_weights(cell, dataset, dim, thresholds)
-        loc = thresholds[rng.choice(len(thresholds), p=bw)]
-        split = make_axis_split(cell, dataset.locations, dim, float(loc))
+        j = rng.choice(len(dims), p=lam)
+        loc = thresholds[j][rng.choice(len(thresholds[j]), p=bws[j])]
+        split = make_axis_split(cell, dataset.locations, dims[j], float(loc))
         frontier.extend(tree.split_node(nid, split, responses))
     return tree
 
@@ -387,14 +385,6 @@ class BNode:
     @property
     def is_leaf(self):
         return self.dim is None
-
-    def copy(self):
-        out = BNode(self.members, self.depth)
-        out.dim, out.loc, out.coef = self.dim, self.loc, self.coef
-        if not self.is_leaf:
-            out.left = self.left.copy()
-            out.right = self.right.copy()
-        return out
 
 
 class McmcTree:
@@ -438,20 +428,10 @@ class McmcTree:
             return (node.dim, round(node.loc, 12), rec(node.left), rec(node.right))
         return rec(self.root)
 
-    def copy(self):
-        out = McmcTree.__new__(McmcTree)
-        out.dataset = self.dataset
-        out.root = self.root.copy()
-        return out
-
-
-def _splittable(members, depth, prior):
-    return members.size >= 2 and depth < prior.max_depth
-
 
 def _leaf_prior_term(members, depth, prior):
     """log(1 - p_split) for leaves that could have split, else 0."""
-    if _splittable(members, depth, prior):
+    if members.size >= 2 and depth < prior.max_depth:
         return math.log(1.0 - prior.split_prob(depth))
     return 0.0
 
@@ -464,32 +444,25 @@ def log_tree_target(tree, prior, responses, model, include_location_prior=True):
     for node in tree.walk():
         if node.is_leaf:
             total += _leaf_prior_term(node.members, node.depth, prior)
-            total += -_sse(responses, node.members) / (2.0 * model.sigma ** 2)
+            total += -sse(responses, node.members) / (2.0 * model.sigma ** 2)
         else:
             total += math.log(prior.split_prob(node.depth))
             if include_location_prior:
-                dims = valid_dimensions(node.members, dataset)
-                cell = Cell(node.members, node.depth)
-                lam = prior.dim_weights(cell, dataset, dims)
-                total += math.log(lam[dims.index(node.dim)])
-                thresholds = admissible_thresholds(node.members, dataset, node.dim)
-                bw = prior.loc_weights(cell, dataset, node.dim, thresholds)
-                j = int(np.argmin(np.abs(thresholds - node.loc)))
-                total += math.log(bw[j])
-            w = _coef(responses, node.left.members, node.right.members)
+                dims, lam, thresholds, bws = _split_law(
+                    Cell(node.members, node.depth), prior, dataset)
+                j = dims.index(node.dim)
+                total += math.log(lam[j])
+                k = int(np.argmin(np.abs(thresholds[j] - node.loc)))
+                total += math.log(bws[j][k])
+            w = haar_coefficient(responses, node.left.members, node.right.members)
             total += math.log(coefficient_density(w, model))
     return total
 
 
 def _draw_prior_split(node, prior, dataset, rng):
-    dims = valid_dimensions(node.members, dataset)
-    cell = Cell(node.members, node.depth)
-    lam = prior.dim_weights(cell, dataset, dims)
-    dim = dims[rng.choice(len(dims), p=lam)]
-    thresholds = admissible_thresholds(node.members, dataset, dim)
-    bw = prior.loc_weights(cell, dataset, dim, thresholds)
-    loc = float(thresholds[rng.choice(len(thresholds), p=bw)])
-    return dim, loc
+    dims, lam, thresholds, bws = _split_law(Cell(node.members, node.depth), prior, dataset)
+    j = rng.choice(len(dims), p=lam)
+    return dims[j], float(thresholds[j][rng.choice(len(thresholds[j]), p=bws[j])])
 
 
 def _attach(node, dataset, dim, loc):
@@ -560,10 +533,10 @@ def mcmc_step(tree, dataset, prior, sigma, rng, responses=None, model=None,
     forward = _move_probs(len(grow), len(prune), include_swap)
 
     def leaf_ll(node):
-        return -_sse(responses, node.members) / two_sigma_sq
+        return -sse(responses, node.members) / two_sigma_sq
 
     def split_ll(left, right):
-        w = _coef(responses, left.members, right.members)
+        w = haar_coefficient(responses, left.members, right.members)
         return math.log(coefficient_density(w, model)) + leaf_ll(left) + leaf_ll(right)
 
     if move == "grow":
@@ -648,7 +621,7 @@ def _refresh_coefficients(tree, residual, sigma, coef_scale, rng):
     var = 1.0 / (1.0 / coef_scale ** 2 + 1.0 / sigma ** 2)
     sd = math.sqrt(var)
     for node in tree.internal():
-        c_hat = _coef(residual, node.left.members, node.right.members)
+        c_hat = haar_coefficient(residual, node.left.members, node.right.members)
         node.coef = var * c_hat / sigma ** 2 + sd * rng.standard_normal()
 
 

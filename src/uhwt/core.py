@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyChildError, NonFiniteDataError, OutOfDomainError
+from .errors import EmptyChildError, InvalidDatasetError, NonFiniteDataError, OutOfDomainError
 
 GRID = "grid"
 SPHERE = "sphere"
@@ -59,25 +59,25 @@ class Dataset:
     def __post_init__(self):
         loc = np.ascontiguousarray(self.locations, dtype=np.float64)
         if loc.ndim != 2:
-            raise ValueError("locations must be a 2-D array of shape (n, D)")
+            raise InvalidDatasetError("locations must be a 2-D array of shape (n, D)")
         resp = np.asarray(self.responses, dtype=np.float64).ravel()
         object.__setattr__(self, "locations", loc)
         object.__setattr__(self, "responses", resp)
         n = loc.shape[0]
         if n < 1:
-            raise ValueError("need at least one observation")
+            raise InvalidDatasetError("need at least one observation")
         if resp.shape[0] != n:
-            raise ValueError("locations and responses disagree in length")
+            raise InvalidDatasetError("locations and responses disagree in length")
         if not (np.isfinite(loc).all() and np.isfinite(resp).all()):
             raise NonFiniteDataError("locations and responses must be finite (no NaN or inf)")
         if np.unique(loc, axis=0).shape[0] != n:
-            raise ValueError("locations must be unique")
+            raise InvalidDatasetError("locations must be unique")
         if self.kind == SPHERE:
             if loc.shape[1] != 3:
-                raise ValueError("sphere locations must be 3-vectors")
+                raise InvalidDatasetError("sphere locations must be 3-vectors")
             norms = np.linalg.norm(loc, axis=1)
             if np.max(np.abs(norms - 1.0)) > 1e-9:
-                raise ValueError("sphere locations must have unit norm (1e-9)")
+                raise InvalidDatasetError("sphere locations must have unit norm (1e-9)")
         elif self.kind != GRID:
             raise ValueError("kind must be 'grid' or 'sphere'")
 
@@ -351,6 +351,31 @@ def uh_atom(split, parent):
     return UHAtom(split, parent, scale / n_plus, -scale / n_minus)
 
 
+def haar_coefficient(responses, plus, minus):
+    """Detail coefficient sqrt(n+ n- / n) * (mean+ - mean-) of two nonempty index sets."""
+    scale = math.sqrt(plus.size * minus.size / (plus.size + minus.size))
+    # sum / size is what ndarray.mean computes, minus its wrapper overhead
+    return scale * (responses[plus].sum() / plus.size - responses[minus].sum() / minus.size)
+
+
+def cut_coefficients(csum, gaps):
+    """haar_coefficient of each cut of a sorted scan whose running sums are csum.
+
+    The cut after position k (for each k in gaps) puts the first k + 1 members in the plus group.
+    """
+    n = csum.size
+    m = gaps + 1
+    rest = n - m
+    left = csum[gaps]
+    return np.sqrt(m * rest / n) * (left / m - (csum[-1] - left) / rest)
+
+
+def sse(responses, members):
+    """Sum of squared deviations of responses[members] from their mean; 0 when empty."""
+    vals = responses[members]
+    return float(((vals - vals.mean()) ** 2).sum()) if members.size else 0.0
+
+
 def uh_coefficient(split, parent, responses):
     """Detail coefficient sqrt(n+ n- / n_A) * (mean+ - mean-).
 
@@ -362,9 +387,7 @@ def uh_coefficient(split, parent, responses):
     minus = split.group_members(-1)
     if plus.size == 0 or minus.size == 0:
         raise EmptyChildError("both split groups need at least one point")
-    scale = math.sqrt(plus.size * minus.size / (plus.size + minus.size))
-    # sum / size is what ndarray.mean computes, minus its wrapper overhead
-    return scale * (responses[plus].sum() / plus.size - responses[minus].sum() / minus.size)
+    return haar_coefficient(responses, plus, minus)
 
 
 # ---------------------------------------------------------------------------

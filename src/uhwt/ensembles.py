@@ -126,11 +126,11 @@ def boost_fit(dataset, responses, n_stages, eta, params, rotate=True,
     return BoostEnsemble(intercept, eta, stages, dataset.kind, rule)
 
 
-def _stage_predict(stage, queries, kind):
+def _predict(model, queries, kind):
+    """Shrunk prediction of one learner, a boosting stage's or a forest member."""
     if kind == SPHERE:
-        return predict_sphere(stage.model, queries, shrunk=True)
-    values, _ = batch_reconstruct(stage.model, queries, shrunk=True)
-    return values
+        return predict_sphere(model, queries, shrunk=True)
+    return batch_reconstruct(model, queries, shrunk=True)[0]
 
 
 def boost_predict_trace(ensemble, queries, checkpoints):
@@ -142,7 +142,7 @@ def boost_predict_trace(ensemble, queries, checkpoints):
     if 0 in todo:
         out[0] = acc.copy()
     for t, stage in enumerate(ensemble.stages, start=1):
-        acc += ensemble.eta * _stage_predict(stage, queries, ensemble.kind)
+        acc += ensemble.eta * _predict(stage.model, queries, ensemble.kind)
         if t in todo:
             out[t] = acc.copy()
     return out
@@ -156,14 +156,11 @@ def ensemble_predict(ensemble, queries):
     if isinstance(ensemble, BoostEnsemble):
         out = np.full(pts.shape[0], ensemble.intercept)
         for stage in ensemble.stages:
-            out += ensemble.eta * _stage_predict(stage, pts, ensemble.kind)
+            out += ensemble.eta * _predict(stage.model, pts, ensemble.kind)
     else:
         out = np.zeros(pts.shape[0])
         for member in ensemble.members:
-            if ensemble.kind == SPHERE:
-                out += predict_sphere(member, pts, shrunk=True)
-            else:
-                out += batch_reconstruct(member, pts, shrunk=True)[0]
+            out += _predict(member, pts, ensemble.kind)
         out /= len(ensemble.members)
     return float(out[0]) if single else out
 
@@ -221,14 +218,7 @@ def quantile_weights(forest, query):
 
 def quantile_predict(forest, query, q):
     """Generalized inverse of the weighted empirical CDF at level q."""
-    if not 0.0 < q < 1.0:
-        raise InvalidQuantileError("q must lie strictly inside (0, 1)")
-    weights = quantile_weights(forest, query)
-    order = np.argsort(forest.responses, kind="stable")
-    cumulative = np.cumsum(weights[order])
-    k = int(np.searchsorted(cumulative, q, side="left"))
-    k = min(k, order.size - 1)
-    return float(forest.responses[order[k]])
+    return float(quantile_predict_batch(forest, np.asarray(query)[None, :], [q])[0, 0])
 
 
 def quantile_predict_batch(forest, queries, q_levels):

@@ -9,7 +9,11 @@ class EmptyChildError(UhwtError):
     """A split group carries no data points, so masses/means are undefined."""
 
 
-class NonFiniteDataError(UhwtError, ValueError):
+class InvalidDatasetError(UhwtError, ValueError):
+    """Locations and responses do not form a dataset: shape, count, duplicates, norm."""
+
+
+class NonFiniteDataError(InvalidDatasetError):
     """Locations or responses contain NaN or infinity."""
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import UHTree, make_axis_split, root_cell_grid
+from .core import UHTree, cut_coefficients, make_axis_split, root_cell_grid
 from .errors import EmptyInputError, NoInternalNodesError
 
 MAD_TO_SIGMA = 0.6745  # MAD of a Gaussian = 0.6745 sigma
@@ -92,12 +92,7 @@ def _best_in_dim(coords, responses, n_min, median_only):
     gaps = _admissible_boundaries(xs, n_min, median_only)
     if gaps.size == 0:
         return None
-    ys = responses[order]
-    n = xs.size
-    m = gaps + 1
-    csum = np.cumsum(ys)
-    left = csum[gaps]
-    w = np.sqrt(m * (n - m) / n) * (left / m - (csum[-1] - left) / (n - m))
+    w = cut_coefficients(np.cumsum(responses[order]), gaps)
     j = int(np.argmax(np.abs(w)))  # first max = smallest threshold on ties
     loc = 0.5 * (xs[gaps[j]] + xs[gaps[j] + 1])
     return float(np.abs(w[j])), float(loc), float(w[j])

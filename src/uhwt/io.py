@@ -53,11 +53,16 @@ def load_pgm(path):
         width, height, maxval = (int(tok) for tok in tokens[1:])
     except ValueError:
         raise DimensionMismatchError("PGM width, height and maxval must be integers") from None
+    if width < 1 or height < 1:
+        raise DimensionMismatchError("PGM width and height must be at least 1")
     if maxval <= 0 or maxval > 65535:
         raise DimensionMismatchError("PGM maxval must lie in [1, 65535]")
     count = width * height
     if tokens[0] == b"P2":
-        values = np.array(data[offset - 1:].split(), dtype=np.float64)
+        try:
+            values = np.array(data[offset - 1:].split(), dtype=np.float64)
+        except ValueError:
+            raise DimensionMismatchError("PGM pixel values must be numbers") from None
         if values.size < count:
             raise TruncatedPayloadError("PGM pixel data ends early")
         values = values[:count]
@@ -138,14 +143,25 @@ def load_grid(path):
 # sphere CSVs
 # ---------------------------------------------------------------------------
 
+def _csv_columns(path, names):
+    """The named float columns of a headed CSV, each as a 1-D array."""
+    try:
+        raw = np.genfromtxt(path, delimiter=",", names=True, dtype=np.float64)
+    except (ValueError, IndexError):  # ragged rows, bad names; IndexError: empty file
+        raise DimensionMismatchError("malformed CSV: no header, or rows unlike the header") from None
+    missing = [name for name in names if name not in (raw.dtype.names or ())]
+    if missing:
+        raise DimensionMismatchError(f"CSV header lacks column(s) {', '.join(missing)}")
+    return [np.atleast_1d(raw[name]) for name in names]
+
+
 def load_sphere_csv(path):
     """Scattered sphere data: header x,y,z,value; rows normalized to unit norm.
 
     Rows with norm below 1e-6 are dropped.
     """
-    raw = np.genfromtxt(path, delimiter=",", names=True, dtype=np.float64)
-    points = np.stack([np.atleast_1d(raw[c]) for c in "xyz"], axis=1)
-    values = np.atleast_1d(raw["value"])
+    x, y, z, values = _csv_columns(path, ("x", "y", "z", "value"))
+    points = np.stack([x, y, z], axis=1)
     norms = np.linalg.norm(points, axis=1)
     keep = norms >= 1e-6
     points = points[keep] / norms[keep, None]
@@ -166,13 +182,12 @@ def load_lonlat_csv(path):
 
     x = cos(lat) cos(lon), y = cos(lat) sin(lon), z = sin(lat).
     """
-    raw = np.genfromtxt(path, delimiter=",", names=True, dtype=np.float64)
-    lon = np.radians(np.atleast_1d(raw["lon"]))
-    lat = np.radians(np.atleast_1d(raw["lat"]))
+    lon, lat, values = _csv_columns(path, ("lon", "lat", "value"))
+    lon, lat = np.radians(lon), np.radians(lat)
     points = np.stack(
         [np.cos(lat) * np.cos(lon), np.cos(lat) * np.sin(lon), np.sin(lat)], axis=1,
     )
-    return sphere_dataset(points, np.atleast_1d(raw["value"]))
+    return sphere_dataset(points, values)
 
 
 # ---------------------------------------------------------------------------

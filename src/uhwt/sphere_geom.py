@@ -32,11 +32,11 @@ from .core import (
     _cross3,
     _edge_cut,
     _min3,
+    cut_coefficients,
     make_edge_split,
     make_quad_split,
     tri_contains_many,
     tri_edge_normals,
-    uh_coefficient,
 )
 from .errors import AntipodalPointsError, DegenerateTriangleError
 
@@ -249,6 +249,8 @@ def split_triangle(cell, rule, dataset, responses, n_min=1):
         if n_plus < n_min or n_minus < n_min:
             continue
         sum_plus = values[mask].sum()
+        # scalar float w, not cut_coefficients: for a few candidates per node
+        # numpy's per-call overhead costs more than the arithmetic
         w = math.sqrt(n_plus * n_minus / k) * (sum_plus / n_plus - (total - sum_plus) / n_minus)
         if best is None or abs(w) > best[0]:
             best = (abs(w), e, xi, (normal, mask))
@@ -293,27 +295,28 @@ def fan_split(cell, dataset, responses, n_min=1):
     verts = cell.triangles[0]
     points = dataset.locations[cell.members]
     values = np.asarray(responses, dtype=np.float64)[cell.members]
-    ranked = []
+    cuts, scan_dirs = [], {}  # (edge, boundary positions k, their w); directions in scan order
     for e in range(3):
         dirs, angles = _fan_projections(verts, e, points)
-        finite = np.isfinite(angles)
-        n = int(finite.sum())
+        n = int(np.isfinite(angles).sum())
         if n < 2:
             continue
-        order = np.argsort(angles[finite], kind="stable")
-        dirs_sorted = dirs[finite][order]
-        ang_sorted = angles[finite][order]
-        csum = np.cumsum(values[finite][order])
-        total = csum[-1]
-        for k in np.nonzero(np.diff(ang_sorted) > 1e-12)[0]:
-            m = k + 1
-            if m < n_min or n - m < n_min:
-                continue
-            w = math.sqrt(m * (n - m) / n) * (csum[k] / m - (total - csum[k]) / (n - m))
-            ranked.append((-abs(w), e, k, dirs_sorted[k], dirs_sorted[k + 1]))
-    ranked.sort(key=lambda item: (item[0], item[1], item[2]))
-    for _, e, _, left_dir, right_dir in ranked:
-        split = make_edge_split(cell, dataset.locations, e, geodesic_midpoint(left_dir, right_dir))
+        scan = np.argsort(angles, kind="stable")[:n]  # NaN angles sort last
+        gaps = np.nonzero(np.diff(angles[scan]) > 1e-12)[0]
+        if n_min > 1:  # every gap leaves at least one member on each side
+            gaps = gaps[(gaps + 1 >= n_min) & (n - 1 - gaps >= n_min)]
+        scan_dirs[e] = dirs[scan]
+        cuts.append((e, gaps, cut_coefficients(np.cumsum(values[scan]), gaps)))
+    if not cuts:
+        return None
+    w = np.concatenate([cut[2] for cut in cuts])
+    edges = np.repeat([cut[0] for cut in cuts], [cut[1].size for cut in cuts])
+    ks = np.concatenate([cut[1] for cut in cuts])
+    # cuts are laid out in (edge, k) order, so a stable sort on -|w| ranks them by (-|w|, edge, k)
+    for j in np.argsort(-np.abs(w), kind="stable"):
+        e, k = int(edges[j]), int(ks[j])
+        split = make_edge_split(cell, dataset.locations, e,
+                                geodesic_midpoint(scan_dirs[e][k], scan_dirs[e][k + 1]))
         if _admissible(split, n_min):
             return split
     return None

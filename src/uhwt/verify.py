@@ -15,15 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._streams import NOISE, stream_rng
-from .bayes import (
-    admissible_thresholds,
-    coefficient_density,
-    valid_dimensions,
-    _coef,
-    _split_members,
-    _sse,
-)
-from .core import batch_reconstruct, grid_dataset, reconstruct, system_matrix
+from .bayes import admissible_thresholds, coefficient_density, valid_dimensions
+from .core import Cell, batch_reconstruct, grid_dataset, haar_coefficient, reconstruct, sse, system_matrix
 from .errors import PreconditionViolatedError, TooLargeError
 from .grid import GridFitParams, fit_uhwt, soft_threshold
 
@@ -42,7 +35,7 @@ def delta_cart(cell, split, responses):
     responses = np.asarray(responses, dtype=np.float64)
     plus = split.group_members(+1)
     minus = split.group_members(-1)
-    return _sse(responses, cell.members) - _sse(responses, plus) - _sse(responses, minus)
+    return sse(responses, cell.members) - sse(responses, plus) - sse(responses, minus)
 
 
 def soft_threshold_lemma_check(theta, z, tau):
@@ -280,7 +273,7 @@ def enumerate_posterior(dataset, prior, model, no_stop=False, max_points=5):
         if members.size == 1:
             return [(None, 1.0)]
         dims = valid_dimensions(members, dataset)
-        leaf_lik = math.exp(-_sse(responses, members) / two_sigma_sq)
+        leaf_lik = math.exp(-sse(responses, members) / two_sigma_sq)
         if no_stop:
             entries = []
         else:
@@ -288,16 +281,15 @@ def enumerate_posterior(dataset, prior, model, no_stop=False, max_points=5):
                 return [(None, leaf_lik)]
             p = prior.split_prob(depth)
             entries = [(None, (1.0 - p) * leaf_lik)]
-        from .core import Cell
-
         cell = Cell(members, depth)
         lam = prior.dim_weights(cell, dataset, dims)
         for lam_d, dim in zip(lam, dims):
             thresholds = admissible_thresholds(members, dataset, dim)
             bw = prior.loc_weights(cell, dataset, dim, thresholds)
             for b, loc in zip(bw, thresholds):
-                left, right = _split_members(members, dataset, dim, loc)
-                m_factor = coefficient_density(_coef(responses, left, right), model)
+                below = dataset.locations[members, dim] < loc
+                left, right = members[below], members[~below]
+                m_factor = coefficient_density(haar_coefficient(responses, left, right), model)
                 base = (1.0 if no_stop else prior.split_prob(depth)) * lam_d * b * m_factor
                 for left_sig, left_w in rec(left, depth + 1):
                     for right_sig, right_w in rec(right, depth + 1):

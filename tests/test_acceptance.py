@@ -176,7 +176,7 @@ def test_criterion_03_cart_identities():
             continue
         w = uh_coefficient(split, root, ds.responses)
         gain = delta_cart(root, split, ds.responses)
-        from uhwt.bayes import _sse
+        from uhwt.core import sse as _sse
 
         # relative to the computation's scale: the difference of sums of
         # squares carries rounding of order eps * SSE(parent)
@@ -204,7 +204,7 @@ def test_criterion_03_cart_identities():
             continue
         w = uh_coefficient(split, cell, ds.responses)
         gain = delta_cart(cell, split, ds.responses)
-        from uhwt.bayes import _sse
+        from uhwt.core import sse as _sse
 
         scale = max(abs(w * w), _sse(ds.responses, cell.members))
         worst_rel = max(worst_rel, abs(gain - w * w) / scale)

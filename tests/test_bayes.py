@@ -267,7 +267,8 @@ class TestBackfit:
         # coefficient prior variance -> infinity: posterior mean -> empirical coefficient
         ds = line_dataset([1.0, -2.0, 0.5, 3.0])
         tree = McmcTree(ds)
-        from uhwt.bayes import _attach, _coef
+        from uhwt.bayes import _attach
+        from uhwt.core import haar_coefficient as _coef
 
         _attach(tree.root, ds, 0, 1.5)
         residual = ds.responses

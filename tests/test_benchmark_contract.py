@@ -1,17 +1,23 @@
-"""The library names the benchmark relies on.
+"""The library names and behaviour the benchmark relies on.
 
 benchmark/spans.py hooks public uhwt functions by module and attribute
 path, and benchmark/rep.py records ``uhwt._streams.thread_count()``.  A
 hook that no longer resolves is reported as an absent span and a missing
 function fails every repetition, so a rename must fail here first.
+bayes_backfit's exact phase draws posterior splits against the cache phi
+filled; if the two stopped sharing cache keys, every draw would recompute
+phi below the cell.
 """
 
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from uhwt import _streams
+from uhwt import CoefficientModel, RuhwtPrior, _streams, phi, posterior_split_sample
+from uhwt.core import Cell, root_cell_grid
+from uhwt.signals import diamond_image, image_dataset
 
 SPANS = Path(__file__).resolve().parents[1] / "benchmark" / "spans.py"
 
@@ -31,3 +37,22 @@ def test_every_hook_resolves(spans):
 
 def test_forest_worker_count_is_one():
     assert _streams.thread_count() == 1
+
+
+def test_posterior_draws_reuse_the_phi_cache():
+    rng = np.random.default_rng(0)
+    ds = image_dataset(diamond_image(4) + 0.2 * rng.standard_normal((4, 4)))
+    prior, model = RuhwtPrior(max_depth=12), CoefficientModel("gaussian", 0.2)
+    cache = {}
+    root = root_cell_grid(ds)
+    phi(root, prior, model, ds, ds.responses, cache=cache)
+    filled = len(cache)
+    cells = [root]
+    for _ in range(20):
+        cell = cells.pop() if cells else root
+        draw = posterior_split_sample(cell, prior, model, ds, ds.responses, rng, cache=cache)
+        if draw != "stop":
+            dim, loc = draw
+            left = ds.locations[cell.members, dim] < loc
+            cells += [Cell(cell.members[left], cell.depth + 1), Cell(cell.members[~left], cell.depth + 1)]
+    assert len(cache) == filled

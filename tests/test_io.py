@@ -1,9 +1,20 @@
 """File formats: PGM, raw tensors, sphere CSVs, summary grids."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from uhwt.errors import BadMagicError, DimensionMismatchError, TruncatedPayloadError, UnknownSignalError
+from uhwt.errors import (
+    BadMagicError,
+    DimensionMismatchError,
+    InvalidDatasetError,
+    TruncatedPayloadError,
+    UhwtError,
+    UnknownSignalError,
+)
 from uhwt.io import (
     load_grid,
     load_lonlat_csv,
@@ -70,6 +81,19 @@ class TestPgm:
     def test_non_numeric_header(self, tmp_path):
         path = tmp_path / "word.pgm"
         path.write_text("P2\nabc 2\n255\n1 2")
+        with pytest.raises(DimensionMismatchError):
+            load_pgm(path)
+
+    @pytest.mark.parametrize("text", ["P2\n-2 2\n255\n1 2 3 4", "P2\n0 2\n255\n", "P5\n2 0\n255\n"])
+    def test_non_positive_dimensions(self, tmp_path, text):
+        path = tmp_path / "flat.pgm"
+        path.write_text(text)
+        with pytest.raises(DimensionMismatchError):
+            load_pgm(path)
+
+    def test_non_numeric_pixel(self, tmp_path):
+        path = tmp_path / "pixel.pgm"
+        path.write_text("P2\n2 1\n255\n1 x\n")
         with pytest.raises(DimensionMismatchError):
             load_pgm(path)
 
@@ -153,6 +177,27 @@ class TestSphereCsv:
         np.testing.assert_allclose(ds.locations, pts, rtol=0, atol=1e-15)
         np.testing.assert_array_equal(ds.responses, vals)
 
+    def test_missing_column_named(self, tmp_path):
+        path = tmp_path / "xy.csv"
+        path.write_text("x,y\n1,2\n")
+        with pytest.raises(DimensionMismatchError, match="z, value"):
+            load_sphere_csv(path)
+
+    @pytest.mark.filterwarnings("ignore:genfromtxt. Empty input file")
+    @pytest.mark.parametrize("text", ["", "x,y,z,value\n1,0,0\n0,1,0,2,5\n"])
+    def test_malformed_file(self, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(DimensionMismatchError):
+            load_sphere_csv(path)
+
+    @pytest.mark.parametrize("text", ["x,y,z,value\n", "x,y,z,value\n1,0,0,1\n2,0,0,3\n"])
+    def test_no_rows_or_duplicate_points(self, tmp_path, text):
+        path = tmp_path / "dup.csv"
+        path.write_text(text)
+        with pytest.raises(InvalidDatasetError):
+            load_sphere_csv(path)
+
     def test_lonlat_conversion(self, tmp_path):
         path = tmp_path / "ll.csv"
         path.write_text("lon,lat,value\n0.0,0.0,1.0\n90.0,0.0,2.0\n0.0,90.0,3.0\n")
@@ -233,3 +278,59 @@ class TestSignals:
         want = (math.exp(-16.0) + 1.5 * math.exp(-16.0 / 9.0)) + (1.0 + 1.5) \
             + (math.exp(-16.0 * tilt) + 1.5 * math.exp(-16.0 * tilt / 9.0))
         assert planes_signal(p)[0] == pytest.approx(want, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# loader fuzzing: a malformed file raises a UhwtError and nothing else
+# ---------------------------------------------------------------------------
+
+def _load_or_typed_error(loader, directory, data):
+    path = directory / "fuzz.bin"
+    path.write_bytes(data)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # genfromtxt warns on empty input
+            loader(path)
+    except UhwtError:
+        pass
+
+
+_HEADER_TOKEN = st.one_of(
+    st.integers(-3, 300).map(str),
+    st.integers(0, 10 ** 12).map(str),
+    st.text(alphabet="0123456789-+.eabx# \n", max_size=6),
+)
+_PIXELS = st.lists(
+    st.one_of(st.integers(-5, 70000).map(str), st.sampled_from(["nan", "inf", "x", "1e400", "-"])),
+    max_size=20,
+).map(lambda tokens: " ".join(tokens).encode())
+_CSV_CELL = st.one_of(
+    st.floats().map(repr),
+    st.integers(-2, 2).map(str),
+    st.sampled_from(["", "x", "nan", " 1", "1e400", '"1"', "1,2"]),
+)
+_CSV_NAMES = st.one_of(
+    st.just(["x", "y", "z", "value"]),
+    st.lists(st.sampled_from(["x", "y", "z", "value", "lon", "v", "", "x y", "#x"]), max_size=6),
+)
+
+
+@given(magic=st.sampled_from(["P2", "P5", "P2x", "P"]), width=_HEADER_TOKEN,
+       height=_HEADER_TOKEN, maxval=_HEADER_TOKEN, sep=st.sampled_from([" ", "\n", "#c\n", ""]),
+       body=st.one_of(st.binary(max_size=40), _PIXELS), cut=st.integers(0, 100))
+@settings(max_examples=150, deadline=None)
+def test_pgm_fuzz_raises_only_typed_errors(tmp_path_factory, magic, width, height, maxval,
+                                           sep, body, cut):
+    data = f"{magic}{sep}{width} {height}{sep}{maxval}\n".encode() + body
+    _load_or_typed_error(load_pgm, tmp_path_factory.getbasetemp(), data[:cut])
+
+
+@given(names=_CSV_NAMES, rows=st.lists(st.lists(_CSV_CELL, max_size=6), max_size=6),
+       repeat_last=st.booleans(), cut=st.integers(0, 200))
+@settings(max_examples=150, deadline=None)
+def test_sphere_csv_fuzz_raises_only_typed_errors(tmp_path_factory, names, rows, repeat_last, cut):
+    lines = [",".join(names)] + [",".join(row) for row in rows]
+    if repeat_last and len(lines) > 1:
+        lines.append(lines[-1])
+    data = ("\n".join(lines) + "\n").encode()
+    _load_or_typed_error(load_sphere_csv, tmp_path_factory.getbasetemp(), data[:cut])
