@@ -255,16 +255,22 @@ class Split:
         return sum(self.children[i].mass for i in group)
 
 
-def make_axis_split(cell, locations, dim, loc):
-    """Axis-aligned split of a box cell; midpoint thresholds never tie."""
-    coords = locations[cell.members, dim]
-    left_mask = coords < loc
+def make_axis_split(cell, locations, dim, loc, *, _parts=None):
+    """Axis-aligned split of a box cell; midpoint thresholds never tie.
+
+    ``_parts`` is the (left, right) pair of sorted member arrays a level
+    scan already partitioned at this cut, so the grower does not compare
+    the coordinates again.
+    """
+    if _parts is None:
+        left_mask = locations[cell.members, dim] < loc
+        _parts = cell.members[left_mask], cell.members[~left_mask]
     left_box = cell.box.copy()
     right_box = cell.box.copy()
     left_box[dim, 1] = loc
     right_box[dim, 0] = loc
-    left = Cell(cell.members[left_mask], cell.depth + 1, box=left_box)
-    right = Cell(cell.members[~left_mask], cell.depth + 1, box=right_box)
+    left = Cell(_parts[0], cell.depth + 1, box=left_box)
+    right = Cell(_parts[1], cell.depth + 1, box=right_box)
     return Split("axis", [left, right], (0,), (1,), dim=dim, loc=float(loc))
 
 
@@ -358,16 +364,20 @@ def haar_coefficient(responses, plus, minus):
     return scale * (responses[plus].sum() / plus.size - responses[minus].sum() / minus.size)
 
 
-def cut_coefficients(csum, gaps):
+def cut_coefficients(csum, gaps, counts=None, totals=None):
     """haar_coefficient of each cut of a sorted scan whose running sums are csum.
 
     The cut after position k (for each k in gaps) puts the first k + 1 members in the plus group.
+    A scan of many segments at once passes, per cut, counts = (plus-group sizes, segment sizes)
+    and totals = segment sums; csum then holds each segment's own running sums.
     """
-    n = csum.size
-    m = gaps + 1
+    if counts is None:
+        m, n, total = gaps + 1, csum.size, csum[-1]
+    else:
+        (m, n), total = counts, totals
     rest = n - m
     left = csum[gaps]
-    return np.sqrt(m * rest / n) * (left / m - (csum[-1] - left) / rest)
+    return np.sqrt(m * rest / n) * (left / m - (total - left) / rest)
 
 
 def sse(responses, members):

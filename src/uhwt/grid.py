@@ -8,12 +8,18 @@ coefficients at a * sigma_hat * sqrt(2 log n) before reconstructing.
 sigma_hat is a MAD estimate computed from the deepest coefficients of a
 throwaway pilot tree.
 
+Trees grow one depth level at a time.  The points are sorted once per
+dimension at the root; every frontier cell is a segment of those orders,
+and one scan (_best_cuts) scores the cuts of all frontier cells of a
+level together.  A stable partition of each order then yields the child
+segments, so no node sorts its members again.  Node ids, splits, members
+and coefficients are those of a node-by-node breadth-first grower.
+
 Fitting a single tree is single-threaded; many trees may be fit
 concurrently against a shared read-only dataset.
 """
 
 import math
-from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -57,19 +63,24 @@ class GridFitParams:
             raise ValueError("sigma must be >= 0")
 
 
-def _admissible_boundaries(xs, n_min, median_only):
-    """Sorted-coordinate boundary positions k (cut between xs[k], xs[k+1])."""
-    n = xs.size
-    gaps = np.nonzero(xs[1:] > xs[:-1])[0]
-    if gaps.size == 0:
-        return gaps
-    m = gaps + 1
-    ok = (m >= n_min) & (n - m >= n_min)
-    gaps = gaps[ok]
-    if median_only and gaps.size:
-        j = int(np.argmin(np.abs(2 * (gaps + 1) - n)))
-        gaps = gaps[j:j + 1]
-    return gaps
+def _admissible_cuts(xs, sizes, n_min, median_only):
+    """Mask of the admissible cuts of sorted coordinate rows.
+
+    Row i holds a segment's sorted coordinates in xs[..., i, :sizes[i]]
+    (anything may pad it); entry k is the cut between positions k and
+    k + 1.  A cut is admissible when the two coordinates differ and each
+    side keeps at least n_min members; with median_only only the first
+    most balanced one, argmin |2(k + 1) - size|, remains.
+    """
+    m = np.arange(1, xs.shape[-1])
+    sizes = np.asarray(sizes)[..., None]
+    ok = (xs[..., 1:] > xs[..., :-1]) & (m >= n_min) & (m <= sizes - n_min)
+    if median_only and m.size:
+        balance = np.where(ok, np.abs(2 * m - sizes), xs.shape[-1])
+        first = np.zeros_like(ok)
+        np.put_along_axis(first, np.argmin(balance, axis=-1)[..., None], True, axis=-1)
+        ok &= first
+    return ok
 
 
 def candidate_splits(cell, dataset, n_min=1, median_only=False):
@@ -81,21 +92,81 @@ def candidate_splits(cell, dataset, n_min=1, median_only=False):
     out = []
     for dim in range(dataset.ndim):
         xs = np.sort(dataset.locations[cell.members, dim])
-        for k in _admissible_boundaries(xs, n_min, median_only):
+        for k in np.flatnonzero(_admissible_cuts(xs, xs.size, n_min, median_only)):
             out.append((dim, float(0.5 * (xs[k] + xs[k + 1]))))
     return out
 
 
-def _best_in_dim(coords, responses, n_min, median_only):
-    order = np.argsort(coords, kind="stable")
-    xs = coords[order]
-    gaps = _admissible_boundaries(xs, n_min, median_only)
-    if gaps.size == 0:
-        return None
-    w = cut_coefficients(np.cumsum(responses[order]), gaps)
-    j = int(np.argmax(np.abs(w)))  # first max = smallest threshold on ties
-    loc = 0.5 * (xs[gaps[j]] + xs[gaps[j] + 1])
-    return float(np.abs(w[j])), float(loc), float(w[j])
+def _segment_rows(orders, starts, sizes, width, responses):
+    """Segments of the orders as rows of a fixed width, with running sums.
+
+    Returns ids (rows of orders, segments, width), each row padded by
+    repeating its last id, and the running sums of the ids' responses with
+    zeros in place of the padding.  Accumulation is sequential and the
+    zeros come after the data, so row i's first sizes[i] sums are exactly
+    np.cumsum of its segment alone.
+    """
+    offs = np.arange(width)
+    ids = orders[:, starts[:, None] + np.minimum(offs, sizes[:, None] - 1)]
+    return ids, np.cumsum(np.where(offs < sizes[:, None], responses[ids], 0.0), axis=-1)
+
+
+def _best_cuts(orders, starts, sizes, locations, responses, n_min, median_only):
+    """Best admissible cut of every segment of presorted point orders.
+
+    orders[d] lists point ids by (coordinate d, id), and segment i,
+    orders[:, starts[i]:starts[i] + sizes[i]], holds one cell of at least
+    two members.  Segments are scanned as rows padded to a power-of-two
+    width (_segment_rows), so each segment's running sums are exactly
+    np.cumsum of its own responses; a global cumsum minus each segment's
+    offset would cancel digits.  Within a dimension the first
+    max of |w|, the smallest threshold, wins; across dimensions only a
+    strictly larger |w| replaces the best, so the smallest dimension wins
+    ties.  Returns (dim, loc, w) arrays; dim is -1 where no cut is
+    admissible.
+    """
+    ndim = orders.shape[0]
+    best_dim = np.full(sizes.size, -1)
+    best_loc = np.zeros(sizes.size)
+    best_w = np.zeros(sizes.size)
+    axes = np.arange(ndim)[:, None, None]
+    widths = np.frexp(sizes - 1)[1]  # log2 of the padded width
+    for e in np.unique(widths).tolist():
+        rows = np.flatnonzero(widths == e)
+        width, count = 1 << e, rows.size
+        sz = sizes[rows]
+        ids, csum = _segment_rows(orders, starts[rows], sz, width, responses)
+        xs = locations[ids, axes].reshape(ndim * count, width)
+        csum = csum.reshape(ndim * count, width)
+        lane_sizes = np.tile(sz, ndim)
+        ok = _admissible_cuts(xs, lane_sizes, n_min, median_only)
+        lane, k = np.nonzero(ok)
+        n = lane_sizes[lane]
+        score = np.full(ok.shape, -1.0)
+        score[lane, k] = np.abs(
+            cut_coefficients(csum.ravel(), lane * width + k, (k + 1, n), csum[lane, n - 1]))
+        j = np.argmax(score, axis=1)  # first max = smallest threshold on ties
+        lanes = np.arange(ok.shape[0])
+        # w again at the winning cut (the same doubles); j + 1 < size in every lane
+        w = cut_coefficients(csum.ravel(), lanes * width + j, (j + 1, lane_sizes),
+                             csum[lanes, lane_sizes - 1]).reshape(ndim, count)
+        found = ok.any(axis=1).reshape(ndim, count)
+        locs = (0.5 * (xs[lanes, j] + xs[lanes, j + 1])).reshape(ndim, count)
+        dim = np.full(count, -1)
+        top = np.zeros(count)
+        for d in range(ndim):
+            take = found[d] & ((dim < 0) | (np.abs(w[d]) > top))
+            dim[take] = d
+            top[take] = np.abs(w[d, take])
+            best_loc[rows[take]] = locs[d, take]
+            best_w[rows[take]] = w[d, take]
+        best_dim[rows] = dim
+    return best_dim, best_loc, best_w
+
+
+def _presorted(locations, members):
+    """members ordered by (coordinate d, id), one row per dimension."""
+    return members[np.argsort(locations[members], axis=0, kind="stable").T]
 
 
 def greedy_split(cell, dataset, responses, n_min=1, median_only=False):
@@ -103,18 +174,16 @@ def greedy_split(cell, dataset, responses, n_min=1, median_only=False):
 
     Returns None when no admissible split exists.
     """
-    responses = np.asarray(responses, dtype=np.float64)
-    best = None
-    for dim in range(dataset.ndim):
-        coords = dataset.locations[cell.members, dim]
-        cand = _best_in_dim(coords, responses[cell.members], n_min, median_only)
-        if cand is None:
-            continue
-        if best is None or cand[0] > best[0]:
-            best = (cand[0], dim, cand[1], cand[2])
-    if best is None:
+    if cell.mass < 2:
         return None
-    return best[1], best[2], best[3]
+    responses = np.asarray(responses, dtype=np.float64)
+    dim, loc, w = _best_cuts(
+        _presorted(dataset.locations, cell.members), np.array([0]), np.array([cell.mass]),
+        dataset.locations, responses, n_min, median_only,
+    )
+    if dim[0] < 0:
+        return None
+    return int(dim[0]), float(loc[0]), float(w[0])
 
 
 def estimate_sigma_mad(coefficients):
@@ -151,13 +220,46 @@ def soft_threshold(w, tau):
     return float(shrunk) if np.isscalar(w) else shrunk
 
 
+def _partition(perms, sizes, split, dims, locs, locations):
+    """Child segments of the split cells, in cell order, left before right.
+
+    Every row of perms is stably partitioned, so the dimension orders stay
+    sorted and the last row, the ids in ascending order, gives each child
+    its sorted members; cells that did not split are dropped.  Returns
+    (perms, child sizes).
+    """
+    kept = perms[:, np.repeat(split, sizes)]
+    sizes = sizes[split]
+    starts = np.cumsum(sizes) - sizes
+    ids = kept[-1]
+    side = np.zeros(locations.shape[0], dtype=bool)
+    side[ids] = locations[ids, np.repeat(dims[split], sizes)] < np.repeat(locs[split], sizes)
+    left = side[kept]
+    before = np.cumsum(left, axis=1) - left  # left entries ahead in the row
+    lefts_ahead = before[-1, starts]  # in earlier segments
+    ends = starts + sizes - 1
+    n_left = before[-1, ends] + left[-1, ends] - lefts_ahead
+    seg = np.repeat(np.arange(sizes.size), sizes)
+    # a left entry passes the right entries of earlier segments, a right
+    # entry the left entries of its own and earlier segments
+    dest = np.where(
+        left,
+        before + (starts - lefts_ahead)[seg],
+        np.arange(ids.size) - before + (lefts_ahead + n_left)[seg],
+    )
+    out = np.empty_like(kept)
+    np.put_along_axis(out, dest, kept, axis=1)
+    return out, np.stack([n_left, sizes - n_left], axis=1).ravel()
+
+
 def fit_uhwt(dataset, responses, params, sigma_hat=None):
-    """Grow a tree breadth-first with the greedy argmax-|w| rule.
+    """Grow a tree level by level with the greedy argmax-|w| rule.
 
     A node becomes a leaf at depth max_depth, when no admissible split
     exists, or when max |w| < early_stop_b * sigma_hat (the estimate is
     taken from params.sigma, the sigma_hat argument, or a fresh pilot
-    tree, in that order).
+    tree, in that order).  Node ids are breadth-first, as a node-by-node
+    queue would assign them.
     """
     responses = np.asarray(responses, dtype=np.float64)
     threshold = 0.0
@@ -170,26 +272,41 @@ def fit_uhwt(dataset, responses, params, sigma_hat=None):
             scale = pilot_sigma(dataset, responses, params)
         threshold = params.early_stop_b * scale
     tree = UHTree(root_cell_grid(dataset), responses.mean())
-    frontier = deque([0])
-    while frontier:
-        nid = frontier.popleft()
-        cell = tree.nodes[nid].cell
-        if cell.depth >= params.max_depth or cell.mass < 2:
-            continue
-        cell_resp = responses[cell.members]
-        if cell_resp.min() == cell_resp.max():
-            continue  # degenerate parent: every coefficient is zero
-        best = greedy_split(
-            cell, dataset, responses,
-            n_min=params.min_leaf, median_only=params.median_splits_only,
+    locations = dataset.locations
+    # one row per dimension, then the ids in ascending order; each
+    # frontier cell is the same segment of every row
+    perms = np.vstack([_presorted(locations, np.arange(dataset.n)), np.arange(dataset.n)])
+    frontier = np.array([0])
+    sizes = np.array([dataset.n])
+    for _ in range(params.max_depth):
+        starts = np.cumsum(sizes) - sizes
+        vals = responses[perms[-1]]
+        # a degenerate parent (min == max) has every coefficient zero
+        live = np.flatnonzero(
+            (sizes >= 2) & (np.minimum.reduceat(vals, starts) != np.maximum.reduceat(vals, starts)))
+        dims = np.full(sizes.size, -1)
+        locs = np.zeros(sizes.size)
+        ws = np.zeros(sizes.size)
+        dims[live], locs[live], ws[live] = _best_cuts(
+            perms[:-1], starts[live], sizes[live], locations, responses,
+            params.min_leaf, params.median_splits_only,
         )
-        if best is None:
-            continue
-        dim, loc, w = best
-        if threshold > 0.0 and abs(w) < threshold:
-            continue
-        split = make_axis_split(cell, dataset.locations, dim, loc)
-        frontier.extend(tree.split_node(nid, split, responses))
+        split = dims >= 0
+        if threshold > 0.0:
+            split &= ~(np.abs(ws) < threshold)
+        if not split.any():
+            break
+        perms, sizes = _partition(perms, sizes, split, dims, locs, locations)
+        members = perms[-1].copy()  # cells keep views of this row only
+        bounds = [0] + np.cumsum(sizes).tolist()
+        grown = []
+        for i, (nid, dim, loc) in enumerate(zip(
+                frontier[split].tolist(), dims[split].tolist(), locs[split].tolist())):
+            lo, mid, hi = bounds[2 * i:2 * i + 3]
+            parts = members[lo:mid], members[mid:hi]
+            cut = make_axis_split(tree.nodes[nid].cell, locations, dim, loc, _parts=parts)
+            grown.extend(tree.split_node(nid, cut, responses))
+        frontier = np.array(grown)
     return tree
 
 

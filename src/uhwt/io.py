@@ -9,6 +9,7 @@ from .core import sphere_dataset
 from .errors import (
     BadMagicError,
     DimensionMismatchError,
+    NonFiniteDataError,
     TruncatedPayloadError,
 )
 from .signals import image_dataset
@@ -43,10 +44,15 @@ def _pgm_tokens(data):
     return tokens, pos + 1  # single whitespace after maxval
 
 
+def _is_pgm(head):
+    """The file starts with the whole header token P2 or P5."""
+    return head[:2] in (b"P2", b"P5") and head[2:3].isspace()
+
+
 def load_pgm(path):
     with open(path, "rb") as fh:
         data = fh.read()
-    if data[:2] not in (b"P2", b"P5"):
+    if not _is_pgm(data):
         raise BadMagicError("not a P2/P5 PGM file")
     tokens, offset = _pgm_tokens(data)
     try:
@@ -134,7 +140,7 @@ def load_grid(path):
         magic = fh.read(4)
     if magic[:4] == TENSOR_MAGIC:
         return image_dataset(load_tensor(path))
-    if magic[:2] in (b"P2", b"P5"):
+    if _is_pgm(magic):
         return image_dataset(load_pgm(path))
     raise BadMagicError("unrecognized grid file (need PGM or tensor magic)")
 
@@ -158,11 +164,20 @@ def _csv_columns(path, names):
 def load_sphere_csv(path):
     """Scattered sphere data: header x,y,z,value; rows normalized to unit norm.
 
-    Rows with norm below 1e-6 are dropped.
+    Rows with norm below 1e-6 are dropped; a row whose norm overflows is
+    first divided by its largest |coordinate|.  A NaN or infinite
+    coordinate raises NonFiniteDataError.
     """
     x, y, z, values = _csv_columns(path, ("x", "y", "z", "value"))
     points = np.stack([x, y, z], axis=1)
-    norms = np.linalg.norm(points, axis=1)
+    if not np.isfinite(points).all():
+        raise NonFiniteDataError("sphere CSV coordinates must be finite (no NaN or inf)")
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(points, axis=1)
+    huge = np.isinf(norms)
+    if huge.any():
+        points[huge] /= np.abs(points[huge]).max(axis=1, keepdims=True)
+        norms[huge] = np.linalg.norm(points[huge], axis=1)
     keep = norms >= 1e-6
     points = points[keep] / norms[keep, None]
     return sphere_dataset(points, values[keep])

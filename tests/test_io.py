@@ -11,6 +11,7 @@ from uhwt.errors import (
     BadMagicError,
     DimensionMismatchError,
     InvalidDatasetError,
+    NonFiniteDataError,
     TruncatedPayloadError,
     UhwtError,
     UnknownSignalError,
@@ -65,6 +66,15 @@ class TestPgm:
         path.write_text("P7\n1 1\n255\n0\n")
         with pytest.raises(BadMagicError):
             load_pgm(path)
+
+    @pytest.mark.parametrize("data", [b"P2x 2 1 255\n\x00\x01", b"P5#c\n1 1\n255\n\x00", b"P2"])
+    def test_magic_is_the_whole_first_token(self, tmp_path, data):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(data)
+        with pytest.raises(BadMagicError):
+            load_pgm(path)
+        with pytest.raises(BadMagicError):
+            load_grid(path)
 
     def test_truncated(self, tmp_path):
         path = tmp_path / "short.pgm"
@@ -164,6 +174,24 @@ class TestSphereCsv:
         path.write_text("x,y,z,value\n1.0,0.0,0.0,1.0\n1e-9,0.0,0.0,2.0\n0.0,1.0,0.0,3.0\n")
         ds = load_sphere_csv(path)
         assert ds.n == 2
+
+    @pytest.mark.parametrize("row", ["nan,0,1,1", "1,inf,0,1", "-inf,0,0,1"])
+    def test_non_finite_coordinate_raises(self, tmp_path, row):
+        path = tmp_path / "pts.csv"
+        path.write_text(f"x,y,z,value\n{row}\n1,0,0,2\n")
+        with pytest.raises(NonFiniteDataError):
+            load_sphere_csv(path)
+
+    def test_large_coordinates_load_as_their_direction(self, tmp_path):
+        path = tmp_path / "pts.csv"
+        path.write_text("x,y,z,value\n0,6e241,0,1\n1,0,0,2\n-1e308,-1e308,0,3\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ds = load_sphere_csv(path)
+        h = np.sqrt(0.5)
+        np.testing.assert_array_equal(ds.locations[:2], [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+        np.testing.assert_allclose(ds.locations[2], [-h, -h, 0.0], rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(ds.responses, [1.0, 2.0, 3.0])
 
     def test_save_parses_back(self, tmp_path):
         rng = np.random.default_rng(1)
