@@ -368,6 +368,30 @@ def sample_prior_tree(prior, dataset, rng):
 # single-tree Metropolis-Hastings
 # ---------------------------------------------------------------------------
 
+def _preorder(root):
+    """Nodes of the subtree at root, parents before children, left before right."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        yield node
+        if not node.is_leaf:
+            stack.extend((node.right, node.left))
+
+
+def _bottom_up(root, build):
+    """build(node, left result, right result) at every node, children first.
+
+    A loop over the reversed preorder instead of a recursion, so deep
+    trees do not reach the interpreter's recursion limit.  Leaves get
+    None for both results.
+    """
+    done = {}
+    for node in reversed(list(_preorder(root))):
+        kids = (None, None) if node.is_leaf else (done.pop(id(node.left)), done.pop(id(node.right)))
+        done[id(node)] = build(node, *kids)
+    return done[id(root)]
+
+
 class BNode:
     """Lightweight mutable node for the sampler."""
 
@@ -395,12 +419,7 @@ class McmcTree:
         self.root = BNode(np.arange(dataset.n), 0)
 
     def walk(self):
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            yield node
-            if not node.is_leaf:
-                stack.extend((node.right, node.left))
+        return _preorder(self.root)
 
     def leaves(self):
         return [nd for nd in self.walk() if nd.is_leaf]
@@ -422,11 +441,8 @@ class McmcTree:
 
     def signature(self):
         """Canonical nested description of the split structure."""
-        def rec(node):
-            if node.is_leaf:
-                return None
-            return (node.dim, round(node.loc, 12), rec(node.left), rec(node.right))
-        return rec(self.root)
+        return _bottom_up(self.root, lambda node, left, right: None if node.is_leaf else (
+            node.dim, round(node.loc, 12), left, right))
 
 
 def _leaf_prior_term(members, depth, prior):
@@ -638,15 +654,12 @@ def tree_component_values(tree, n):
 
 def bnode_record(node):
     """Nested JSON-ready description of one sampled tree."""
-    if node.is_leaf:
-        return {"n": int(node.members.size)}
-    return {
-        "dim": int(node.dim),
-        "loc": float(node.loc),
-        "coef": float(node.coef),
-        "left": bnode_record(node.left),
-        "right": bnode_record(node.right),
-    }
+    def build(nd, left, right):
+        if nd.is_leaf:
+            return {"n": int(nd.members.size)}
+        return {"dim": int(nd.dim), "loc": float(nd.loc), "coef": float(nd.coef),
+                "left": left, "right": right}
+    return _bottom_up(node, build)
 
 
 def backfit(dataset, responses, m, sweeps, prior, model, seed=0,

@@ -19,13 +19,19 @@ and the telescoping reconstruction
 returns the exact training response at singleton leaves and the leaf mean
 otherwise.
 
-Trees and datasets are immutable after fitting; all read paths
-(reconstruct, tree_fit_values, batch prediction) are safe to call from
-many threads.  Construction is single-writer.
+Every read path (batch_reconstruct, tree_fit_values, sphere prediction
+and quantile weights) compiles its trees into flat arrays
+(compile_trees) and walks all queries down one level per step (descend),
+adding the branch deltas in path order, so the sums equal the
+node-by-node telescoping sums bit for bit.
+
+Trees and datasets are immutable after fitting; all read paths are safe
+to call from many threads.  Construction is single-writer.
 """
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -256,7 +262,7 @@ class Split:
 
 
 def make_axis_split(cell, locations, dim, loc, *, _parts=None):
-    """Axis-aligned split of a box cell; midpoint thresholds never tie.
+    """Axis-aligned split of a box cell: members below loc go left.
 
     ``_parts`` is the (left, right) pair of sorted member arrays a level
     scan already partitioned at this cut, so the grower does not compare
@@ -497,56 +503,191 @@ class UHTree:
         return [uh_atom(nd.split, nd.cell) for nd in self.nodes if nd.split is not None]
 
 
-def _plus_side_mask(node, split, points):
-    if split.kind == "axis":
-        return points[:, split.dim] < split.loc
-    if split.kind == "edge":
-        return points @ split.cut_normal >= 0.0
-    if split.kind == "quad":
-        sub = quad_assign(split.children, points)
-        return (sub == 0) | (sub == 2)
-    if split.kind == "pair":
-        return tri_contains_many(split.children[0].triangles[0], points)
-    raise ValueError(f"unknown split kind {split.kind!r}")
+_KINDS = ("leaf", "axis", "edge", "quad", "pair")
+_LEAF, _AXIS, _EDGE, _QUAD, _PAIR = range(len(_KINDS))
+_CODES = {name: code for code, name in enumerate(_KINDS)}
 
 
-def _branch_deltas(tree, node, shrunk):
-    """Contributions (plus, minus) of a node's coefficient to the two sides."""
-    w = node.w_tilde if shrunk else node.w
-    if w is None:
-        w = 0.0
-    n_a = node.cell.mass
-    plus_id, minus_id = node.children
-    n_plus = tree.nodes[plus_id].cell.mass
-    n_minus = tree.nodes[minus_id].cell.mass
-    d_plus = w * math.sqrt(n_minus / (n_a * n_plus))
-    d_minus = -w * math.sqrt(n_plus / (n_a * n_minus))
-    return d_plus, d_minus
+@dataclass
+class FlatTrees:
+    """Trees compiled into flat arrays, concatenated in order.
+
+    Node i of trees[t] is row roots[t] + i.  kind holds the split kinds
+    (codes into _KINDS), children the (plus, minus) child rows (-1 at
+    leaves), and slot each node's row in its kind's parameter table:
+    axis_dim/axis_loc, edge_normal (the cut normals), quad_normals (the
+    four child triangles' edge normals) and pair_normals (the first
+    child triangle's edge normals).  d_plus/d_minus are the branch
+    deltas w*sqrt(n_minus/(n_A n_plus)) and -w*sqrt(n_plus/(n_A n_minus))
+    of the chosen coefficients; intercept is per tree.  With members,
+    perm lists every leaf's training members and a leaf owns
+    perm[start:start + size].
+    """
+
+    roots: np.ndarray
+    intercept: np.ndarray
+    kind: np.ndarray
+    children: np.ndarray
+    slot: np.ndarray
+    axis_dim: np.ndarray
+    axis_loc: np.ndarray
+    edge_normal: np.ndarray
+    quad_normals: np.ndarray
+    pair_normals: np.ndarray
+    d_plus: np.ndarray
+    d_minus: np.ndarray
+    perm: np.ndarray = None
+    start: np.ndarray = None
+    size: np.ndarray = None
+
+
+def _table(rows, shape):
+    return np.array(rows, dtype=np.float64).reshape((len(rows),) + shape)
+
+
+def compile_trees(trees, shrunk=False, members=False):
+    """Flat arrays of the trees for the level-synchronous descent.
+
+    Compiled per call and not cached: split_node and set_shrunk change a
+    tree after creation.  members=True also lays out the leaf slices.
+    """
+    sizes = [len(tree.nodes) for tree in trees]
+    count = sum(sizes)
+    roots = np.concatenate([[0], np.cumsum(sizes)[:-1]]).astype(np.intp)
+    nodes = [nd for tree in trees for nd in tree.nodes]
+    splits = [nd.split for nd in nodes]
+    kind = np.fromiter((_LEAF if s is None else _CODES[s.kind] for s in splits), np.intp, count)
+    internal = np.flatnonzero(kind != _LEAF)
+    inner = internal.tolist()
+    children = np.full((count, 2), -1, dtype=np.intp)
+    children[internal] = np.fromiter(
+        chain.from_iterable(nodes[i].children for i in inner), np.intp, 2 * len(inner),
+    ).reshape(-1, 2) + np.repeat(roots, sizes)[internal, None]
+    slot = np.zeros(count, dtype=np.intp)
+    by_kind = {}
+    for code in range(_AXIS, len(_KINDS)):
+        rows = np.flatnonzero(kind == code)
+        slot[rows] = np.arange(rows.size)
+        by_kind[code] = [splits[i] for i in rows.tolist()]
+    mass = np.fromiter((nd.cell.mass for nd in nodes), np.int64, count)
+    coef = (nodes[i].w_tilde if shrunk else nodes[i].w for i in inner)
+    w = np.fromiter((0.0 if c is None else c for c in coef), np.float64, len(inner))
+    n_a, n_plus, n_minus = mass[internal], mass[children[internal, 0]], mass[children[internal, 1]]
+    d_plus = np.zeros(count)
+    d_minus = np.zeros(count)
+    d_plus[internal] = w * np.sqrt(n_minus / (n_a * n_plus))
+    d_minus[internal] = -w * np.sqrt(n_plus / (n_a * n_minus))
+    axes = by_kind[_AXIS]
+    flat = FlatTrees(
+        roots=roots,
+        intercept=np.array([tree.intercept for tree in trees], dtype=np.float64),
+        kind=kind,
+        children=children,
+        slot=slot,
+        axis_dim=np.fromiter((s.dim for s in axes), np.intp, len(axes)),
+        axis_loc=np.fromiter((s.loc for s in axes), np.float64, len(axes)),
+        edge_normal=_table([s.cut_normal for s in by_kind[_EDGE]], (3,)),
+        quad_normals=_table([[tri_edge_normals(c.triangles[0]) for c in s.children]
+                             for s in by_kind[_QUAD]], (4, 3, 3)),
+        pair_normals=_table([tri_edge_normals(s.children[0].triangles[0])
+                             for s in by_kind[_PAIR]], (3, 3)),
+        d_plus=d_plus,
+        d_minus=d_minus,
+    )
+    if members:
+        leaves = np.flatnonzero(kind == _LEAF)
+        parts = [nodes[i].cell.members for i in leaves.tolist()]
+        flat.size = np.zeros(count, dtype=np.intp)
+        flat.size[leaves] = np.fromiter((p.size for p in parts), np.intp, len(parts))
+        flat.start = np.zeros(count, dtype=np.intp)
+        flat.start[leaves] = np.cumsum(flat.size[leaves]) - flat.size[leaves]
+        flat.perm = np.concatenate(parts).astype(np.intp, copy=False)
+    return flat
+
+
+def _dot3(points, normals):
+    """Row-wise dot products in one fixed elementwise order.
+
+    A BLAS product rounds differently depending on how many rows it is
+    given, so a query's side of a cut would depend on the other queries
+    at its node; this order does not.
+    """
+    return points[:, 0] * normals[..., 0] + points[:, 1] * normals[..., 1] + points[:, 2] * normals[..., 2]
+
+
+def _tri_min(points, normals):
+    """Minimum edge determinant of each point against its triangle's (k, 3, 3) normals."""
+    return _min3(np.stack([_dot3(points, normals[:, e]) for e in range(3)], axis=-1))
+
+
+def _plus_side(flat, code, slot, points, rows):
+    """Plus-side mask of points[rows] against nodes of one split kind."""
+    if code == _AXIS:
+        return points[rows, flat.axis_dim[slot]] < flat.axis_loc[slot]
+    pts = points[rows]
+    if code == _EDGE:
+        return _dot3(pts, flat.edge_normal[slot]) >= 0.0
+    if code == _PAIR:
+        return _tri_min(pts, flat.pair_normals[slot]) >= -BOUNDARY_EPS
+    # quad: containing child, smallest index on ties, else the largest minimum
+    quads = flat.quad_normals[slot]
+    mind = np.stack([_tri_min(pts, quads[:, c]) for c in range(4)], axis=1)
+    inside = mind >= -BOUNDARY_EPS
+    sub = np.where(inside.any(axis=1), inside.argmax(axis=1), mind.argmax(axis=1))
+    return (sub == 0) | (sub == 2)
+
+
+def _branch(flat, at, plus):
+    """(delta, child) of stepping from nodes at into their plus or minus child."""
+    return (np.where(plus, flat.d_plus[at], flat.d_minus[at]),
+            np.where(plus, flat.children[at, 0], flat.children[at, 1]))
+
+
+def descend(flat, points, nodes, values):
+    """Walk every query from its node down to a leaf, one level per step.
+
+    Each step tests the points against their nodes' splits, adds the
+    plus or minus delta to values in path order (so the sums equal the
+    telescoping reconstruction's, addition for addition) and moves each
+    point to its child.  nodes and values are updated in place; nodes
+    ends at the leaf rows.
+    """
+    active = np.flatnonzero(flat.kind[nodes] != _LEAF)
+    while active.size:
+        at = nodes[active]
+        kinds = flat.kind[at]
+        slots = flat.slot[at]
+        first = kinds[0]
+        if (kinds == first).all():
+            plus = _plus_side(flat, first, slots, points, active)
+        else:
+            plus = np.empty(active.size, dtype=bool)
+            for code in np.unique(kinds).tolist():
+                sel = kinds == code
+                plus[sel] = _plus_side(flat, code, slots[sel], points, active[sel])
+        delta, nxt = _branch(flat, at, plus)
+        values[active] += delta
+        nodes[active] = nxt
+        active = active[flat.kind[nxt] != _LEAF]
+
+
+def run_descent(trees, points, tree_of_point, shrunk=False, members=False):
+    """Compile trees and descend each point from the root of trees[tree_of_point].
+
+    Returns (flat, values, leaves): the compiled arrays, the telescoping
+    sums and the leaf rows of flat.
+    """
+    flat = compile_trees(trees, shrunk, members)
+    leaves = flat.roots[tree_of_point]
+    values = flat.intercept[tree_of_point]
+    descend(flat, points, leaves, values)
+    return flat, values, leaves
 
 
 def batch_reconstruct(tree, points, shrunk=False):
     """Vectorized reconstruction at query points; returns (values, leaf_ids)."""
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    m = points.shape[0]
-    values = np.full(m, tree.intercept)
-    leaf_ids = np.zeros(m, dtype=np.intp)
-    stack = [(0, np.arange(m))]
-    while stack:
-        nid, idx = stack.pop()
-        node = tree.nodes[nid]
-        if node.is_leaf:
-            leaf_ids[idx] = nid
-            continue
-        mask = _plus_side_mask(node, node.split, points[idx])
-        d_plus, d_minus = _branch_deltas(tree, node, shrunk)
-        plus_idx = idx[mask]
-        minus_idx = idx[~mask]
-        if plus_idx.size:
-            values[plus_idx] += d_plus
-            stack.append((node.children[0], plus_idx))
-        if minus_idx.size:
-            values[minus_idx] += d_minus
-            stack.append((node.children[1], minus_idx))
+    _, values, leaf_ids = run_descent([tree], points, np.zeros(points.shape[0], dtype=np.intp), shrunk)
     return values, leaf_ids
 
 
@@ -573,6 +714,32 @@ def reconstruct(tree, point, shrunk=False):
     return float(values[0])
 
 
+def _path_sums(flat):
+    """Value of every node's telescoping sum from its tree's root.
+
+    Sums are built top-down one level at a time with descend's step,
+    each child adding its branch delta to its parent's sum, so a
+    training point's sum is the one descend computes for it, addition
+    for addition.
+    """
+    sums = np.zeros(flat.kind.size)
+    level = flat.roots
+    sums[level] = flat.intercept
+    while level.size:
+        level = level[flat.kind[level] != _LEAF]
+        at = np.concatenate([level, level])
+        delta, nxt = _branch(flat, at, np.arange(at.size) < level.size)
+        sums[nxt] = sums[at] + delta
+        level = nxt
+    return sums
+
+
+def leaf_member_values(flat):
+    """(training ids, fitted values): every leaf member with its leaf's path sum."""
+    leaves = np.flatnonzero(flat.kind == _LEAF)
+    return flat.perm, np.repeat(_path_sums(flat)[leaves], flat.size[leaves])
+
+
 def tree_fit_values(tree, shrunk=False):
     """Fitted values at the tree's own training points.
 
@@ -580,16 +747,9 @@ def tree_fit_values(tree, shrunk=False):
     a whole dataset this is simply index order).  Elementwise equal to
     reconstruct() at each training location.
     """
-    root_members = tree.root.cell.members
-    values = np.full(root_members.size, tree.intercept)
-    for node in tree.nodes:
-        if node.is_leaf:
-            continue
-        d_plus, d_minus = _branch_deltas(tree, node, shrunk)
-        plus = tree.nodes[node.children[0]].cell.members
-        minus = tree.nodes[node.children[1]].cell.members
-        values[np.searchsorted(root_members, plus)] += d_plus
-        values[np.searchsorted(root_members, minus)] += d_minus
+    ids, fitted = leaf_member_values(compile_trees([tree], shrunk, members=True))
+    values = np.empty(ids.size)
+    values[np.searchsorted(tree.root.cell.members, ids)] = fitted
     return values
 
 

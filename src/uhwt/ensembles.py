@@ -26,14 +26,23 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._streams import MEMBER, STAGE, stream_rng
-from .core import SPHERE, batch_reconstruct, tree_from_dict, tree_to_dict
+from .core import (
+    SPHERE,
+    batch_reconstruct,
+    compile_trees,
+    leaf_member_values,
+    run_descent,
+    tree_fit_values,
+    tree_from_dict,
+    tree_to_dict,
+)
 from .errors import InvalidQuantileError
 from .grid import fit_shrunk, universal_tau
 from .sphere import (
     SphereModel,
     fit_sphere,
     haar_rotation,
-    model_leaf_members,
+    model_descent,
     predict_sphere,
     sphere_shrink,
 )
@@ -69,14 +78,10 @@ class ForestEnsemble:
 
 def _stage_train_values(model, n, kind):
     """Fitted values of one learner at its own training points."""
-    from .core import tree_fit_values
-
     if kind == SPHERE:
         out = np.empty(n)
-        for tree in model.face_trees:
-            members = tree.root.cell.members
-            if members.size:
-                out[members] = tree_fit_values(tree, shrunk=True)
+        ids, fitted = leaf_member_values(compile_trees(model.face_trees, shrunk=True, members=True))
+        out[ids] = fitted
         return out
     return tree_fit_values(model, shrunk=True)
 
@@ -184,30 +189,36 @@ def rre_fit(dataset, responses, n_members, params, rule="adapt", seed=0,
 # quantile forests
 # ---------------------------------------------------------------------------
 
-def _member_leaf_members(member, queries, kind):
+def _member_leaves(member, queries, kind):
+    """(flat, leaf rows) of one member at the queries; flat carries the leaf slices."""
     if kind == SPHERE:
-        return model_leaf_members(member, queries)
-    _, leaf_ids = batch_reconstruct(member, queries)
-    return [member.nodes[leaf].cell.members for leaf in leaf_ids]
+        flat, _, leaves = model_descent(member, queries, members=True)
+    else:
+        flat, _, leaves = run_descent([member], queries, np.zeros(queries.shape[0], dtype=np.intp),
+                                      members=True)
+    return flat, leaves
 
 
 def quantile_weights_batch(forest, queries):
     """(m, n) leaf-sharing weights: w_i(x) = mean_b 1{x_i in leaf_b(x)} / |leaf_b(x)|.
 
     A member whose containing leaf holds no training points spreads its
-    1/B mass uniformly; every row sums to one.
+    1/B mass uniformly; every row sums to one.  Each member adds
+    1/(B |leaf|) to the cells of its leaves' member slices in one step.
     """
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+    m = queries.shape[0]
     n = forest.responses.shape[0]
-    weights = np.zeros((queries.shape[0], n))
+    weights = np.zeros((m, n))
     b = len(forest.members)
     for member in forest.members:
-        leaves = _member_leaf_members(member, queries, forest.kind)
-        for row, members in enumerate(leaves):
-            if members.size == 0:
-                weights[row] += 1.0 / (b * n)
-            else:
-                weights[row, members] += 1.0 / (b * members.size)
+        flat, leaves = _member_leaves(member, queries, forest.kind)
+        size = flat.size[leaves]
+        weights[size == 0] += 1.0 / (b * n)
+        first = np.cumsum(size) - size  # each row's offset among the repeated cells
+        cells = np.arange(size.sum()) + np.repeat(flat.start[leaves] - first, size)
+        weights[np.repeat(np.arange(m), size), flat.perm[cells]] += np.repeat(
+            1.0 / (b * np.maximum(size, 1)), size)
     return weights
 
 
@@ -232,7 +243,7 @@ def quantile_predict_batch(forest, queries, q_levels):
     cumulative = np.cumsum(weights[:, order], axis=1)
     out = np.empty((weights.shape[0], len(q_levels)))
     for j, q in enumerate(q_levels):
-        ks = np.array([np.searchsorted(row, q, side="left") for row in cumulative])
+        ks = (cumulative < q).sum(axis=1)  # searchsorted(row, q) on the non-decreasing rows
         out[:, j] = sorted_y[np.minimum(ks, order.size - 1)]
     return out
 

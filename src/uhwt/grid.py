@@ -83,17 +83,30 @@ def _admissible_cuts(xs, sizes, n_min, median_only):
     return ok
 
 
+def _midpoint(a, b):
+    """Threshold of the cut between sorted coordinates a < b: a < t <= b.
+
+    0.5 * (a + b), or 0.5 * a + 0.5 * b where a + b overflows; b itself
+    when the midpoint rounds onto a (adjacent doubles), so the cut never
+    leaves a side empty.
+    """
+    with np.errstate(over="ignore"):
+        mid = 0.5 * (a + b)
+    mid = np.where(np.isfinite(mid), mid, 0.5 * a + 0.5 * b)
+    return np.where(mid <= a, b, mid)
+
+
 def candidate_splits(cell, dataset, n_min=1, median_only=False):
     """Admissible (dim, threshold) pairs for a box cell.
 
-    Thresholds are midpoints between consecutive distinct member
+    Thresholds are the _midpoint of consecutive distinct member
     coordinates whose cut leaves at least n_min members on both sides.
     """
     out = []
     for dim in range(dataset.ndim):
         xs = np.sort(dataset.locations[cell.members, dim])
         for k in np.flatnonzero(_admissible_cuts(xs, xs.size, n_min, median_only)):
-            out.append((dim, float(0.5 * (xs[k] + xs[k + 1]))))
+            out.append((dim, float(_midpoint(xs[k], xs[k + 1]))))
     return out
 
 
@@ -151,7 +164,7 @@ def _best_cuts(orders, starts, sizes, locations, responses, n_min, median_only):
         w = cut_coefficients(csum.ravel(), lanes * width + j, (j + 1, lane_sizes),
                              csum[lanes, lane_sizes - 1]).reshape(ndim, count)
         found = ok.any(axis=1).reshape(ndim, count)
-        locs = (0.5 * (xs[lanes, j] + xs[lanes, j + 1])).reshape(ndim, count)
+        locs = _midpoint(xs[lanes, j], xs[lanes, j + 1]).reshape(ndim, count)
         dim = np.full(count, -1)
         top = np.zeros(count)
         for d in range(ndim):

@@ -9,6 +9,7 @@ from .core import sphere_dataset
 from .errors import (
     BadMagicError,
     DimensionMismatchError,
+    InvalidDatasetError,
     NonFiniteDataError,
     TruncatedPayloadError,
 )
@@ -195,9 +196,15 @@ def save_sphere_csv(path, points, values, value_name="value"):
 def load_lonlat_csv(path):
     """lon,lat,value in degrees, converted to unit vectors.
 
-    x = cos(lat) cos(lon), y = cos(lat) sin(lon), z = sin(lat).
+    x = cos(lat) cos(lon), y = cos(lat) sin(lon), z = sin(lat).  A
+    latitude outside [-90, 90] raises InvalidDatasetError; any finite
+    longitude is accepted.
     """
     lon, lat, values = _csv_columns(path, ("lon", "lat", "value"))
+    if not (np.isfinite(lon).all() and np.isfinite(lat).all()):
+        raise NonFiniteDataError("lon/lat CSV coordinates must be finite (no NaN or inf)")
+    if np.any(np.abs(lat) > 90.0):
+        raise InvalidDatasetError("latitudes must lie in [-90, 90] degrees")
     lon, lat = np.radians(lon), np.radians(lat)
     points = np.stack(
         [np.cos(lat) * np.cos(lon), np.cos(lat) * np.sin(lon), np.sin(lat)], axis=1,

@@ -1,10 +1,12 @@
 """Per-face tree fitting on the icosahedral mesh, with random rotations.
 
 A model is a rotation plus twenty face trees grown on the rotated
-locations.  Prediction rotates the query, locates its face (boundary ties
-to the smallest face id) and runs the telescoping reconstruction of that
-face's tree; each face tree uses its own face mean as intercept, and a
-face with no training points predicts the global training mean.
+locations.  Prediction rotates the queries, locates their faces (boundary
+ties to the smallest face id) and runs the telescoping reconstruction of
+each query's face tree, with all twenty trees compiled as one and every
+query descending from its face's root in the same level steps; each face
+tree uses its own face mean as intercept, and a face with no training
+points predicts the global training mean.
 
 The noise scale for early stopping is pooled: every face grows a
 throwaway pilot tree and the deepest coefficients of all twenty pilots
@@ -19,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import UHTree, batch_reconstruct, sphere_dataset, triangle_cell, uh_coefficient
+from .core import UHTree, run_descent, sphere_dataset, triangle_cell, uh_coefficient
 from .errors import NoInternalNodesError
 from .grid import collect_deep_coefficients, estimate_sigma_mad, pilot_depth
 from .sphere_geom import assign_faces, fan_split, icosahedron, split_triangle
@@ -163,36 +165,30 @@ def fit_sphere(dataset, responses, rule, params, rotation=None,
     return SphereModel(rotation, trees, global_mean, rule, params, sigma_hat)
 
 
+def model_descent(model, queries, shrunk=False, members=False):
+    """All face trees compiled as one, each query descended from its face's root.
+
+    Returns run_descent's (flat, values, leaves).
+    """
+    pts = np.atleast_2d(np.asarray(queries, dtype=np.float64)) @ model.rotation.T
+    return run_descent(model.face_trees, pts, assign_faces(BASE, pts), shrunk, members)
+
+
 def predict_sphere(model, queries, shrunk=False):
     """Reconstruction at unit-norm queries; scalar in, scalar out."""
-    queries = np.asarray(queries, dtype=np.float64)
-    single = queries.ndim == 1
-    pts = np.atleast_2d(queries) @ model.rotation.T
-    face_idx = assign_faces(BASE, pts)
-    out = np.empty(pts.shape[0])
-    for j in np.unique(face_idx):
-        sel = np.flatnonzero(face_idx == j)
-        values, _ = batch_reconstruct(model.face_trees[j], pts[sel], shrunk=shrunk)
-        out[sel] = values
-    return float(out[0]) if single else out
+    single = np.ndim(queries) == 1
+    _, values, _ = model_descent(model, queries, shrunk)
+    return float(values[0]) if single else values
 
 
 def model_leaf_members(model, queries):
     """Training-member index array of the leaf containing each query.
 
-    Used by quantile forests; queries landing in an empty face get an
-    empty array.
+    Queries landing in an empty face get an empty array.
     """
-    pts = np.atleast_2d(np.asarray(queries, dtype=np.float64)) @ model.rotation.T
-    face_idx = assign_faces(BASE, pts)
-    out = [None] * pts.shape[0]
-    for j in np.unique(face_idx):
-        sel = np.flatnonzero(face_idx == j)
-        tree = model.face_trees[j]
-        _, leaf_ids = batch_reconstruct(tree, pts[sel])
-        for i, leaf in zip(sel, leaf_ids):
-            out[i] = tree.nodes[leaf].cell.members
-    return out
+    flat, _, leaves = model_descent(model, queries, members=True)
+    ends = flat.start[leaves] + flat.size[leaves]
+    return [flat.perm[a:b] for a, b in zip(flat.start[leaves].tolist(), ends.tolist())]
 
 
 def sphere_shrink(model, tau):

@@ -64,6 +64,11 @@ class Triangulation:
         """(F, 3, 3) edge normals of every face, computed on first use."""
         return np.stack([tri_edge_normals(self.face_vertices(j)) for j in range(self.n_faces)])
 
+    @cached_property
+    def _normal_columns(self):
+        """The edge normals as (3, 3F) columns, face-major, for one BLAS product."""
+        return np.ascontiguousarray(self._edge_normals.reshape(-1, 3).T)
+
 
 def icosahedron():
     """Canonical golden-ratio icosahedron, 12 unit vertices and 20 ccw faces."""
@@ -94,17 +99,36 @@ def triangle_contains(verts, point, eps=BOUNDARY_EPS):
     return bool(tri_contains_many(np.asarray(verts, dtype=np.float64), point[None, :], eps=eps)[0])
 
 
+_RECHECK_BAND = 1e-9  # far above the ~1e-15 error of the BLAS determinants
+# Blocks this small stay below OpenBLAS's threading threshold.  On 2 cores
+# with one busy, one threaded product over 15,300 points took 8 ms; in
+# blocks it took 0.7 ms, and the small blocks stay in cache.
+_BLAS_ROWS = 1024
+
+
 def assign_faces(triangulation, points, eps=BOUNDARY_EPS):
     """Face index per point; boundary ties go to the smallest face id.
 
     Points that numerically fail every face (possible only through
     rounding at corners) fall back to the face with the largest minimum
-    edge determinant.
+    edge determinant.  The determinants come from BLAS products over
+    blocks of points; the points with no passing face or with a face's
+    minimum within _RECHECK_BAND of -eps are recomputed with the exact
+    per-row einsum, so every pass/fail pattern and fallback is the
+    einsum's own.
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    dets = np.einsum("fkd,md->mfk", triangulation._edge_normals, points)
-    mind = _min3(dets)  # (m, F)
+    normals = triangulation._edge_normals
+    mind = np.empty(points.shape[:1] + normals.shape[:1])
+    for a in range(0, points.shape[0], _BLAS_ROWS):
+        dets = points[a:a + _BLAS_ROWS] @ triangulation._normal_columns
+        mind[a:a + _BLAS_ROWS] = _min3(dets.reshape(-1, normals.shape[0], 3))
     ok = mind >= -eps
+    near = (~ok.any(axis=1)) | (np.abs(mind + eps) <= _RECHECK_BAND).any(axis=1)
+    if np.any(near):
+        rows = np.flatnonzero(near)
+        mind[rows] = _min3(np.einsum("fkd,md->mfk", normals, points[rows]))
+        ok[rows] = mind[rows] >= -eps
     idx = np.argmax(ok, axis=1)  # first passing face
     homeless = ~ok.any(axis=1)
     if np.any(homeless):

@@ -23,7 +23,9 @@ from uhwt import (
     sample_prior_tree,
 )
 from uhwt.bayes import (
+    BNode,
     _refresh_coefficients,
+    bnode_record,
     log_tree_target,
     posterior_split_distribution,
     tree_component_values,
@@ -260,6 +262,29 @@ class TestMcmcStep:
             counts[sig] / kept for sig in counts if sig not in table
         )
         assert tv < 0.05
+
+
+class TestDeepTrees:
+    DEPTH = 5000  # far beyond the interpreter's default recursion limit of 1000
+
+    def _chain(self):
+        """A hand-built chain: every right child splits again, every left child is a leaf."""
+        tree = McmcTree(line_dataset([0.0, 1.0]))
+        node = tree.root
+        for d in range(self.DEPTH):
+            node.dim, node.loc, node.coef = 0, d + 0.5, float(d)
+            node.left, node.right = BNode(np.arange(1), d + 1), BNode(np.arange(2), d + 1)
+            node = node.right
+        return tree
+
+    def test_signature_and_record_of_a_deep_chain(self):
+        tree = self._chain()
+        sig, rec = tree.signature(), bnode_record(tree.root)
+        for d in range(self.DEPTH):
+            assert sig[:3] == (0, d + 0.5, None)
+            assert (rec["dim"], rec["loc"], rec["coef"], rec["left"]) == (0, d + 0.5, float(d), {"n": 1})
+            sig, rec = sig[3], rec["right"]
+        assert sig is None and rec == {"n": 2}
 
 
 class TestBackfit:

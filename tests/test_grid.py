@@ -102,6 +102,19 @@ class TestFitUhwt:
         assert all(nd.cell.depth <= 3 for nd in tree.nodes)
         assert all(leaf.cell.mass >= 4 for leaf in tree.leaves())
 
+    @pytest.mark.parametrize("locs", [
+        [1.0, float(np.nextafter(1.0, 2.0))],  # the midpoint rounds onto the lower one
+        [1.7e308, 1.79e308],  # their sum overflows
+    ], ids=["adjacent_doubles", "huge"])
+    def test_cut_between_any_two_distinct_coordinates(self, locs):
+        ds = line_dataset([0.0, 1.0], locs=locs)
+        (dim, loc), = candidate_splits(root_cell_grid(ds), ds)
+        assert locs[0] < loc <= locs[1]
+        tree = fit_uhwt(ds, ds.responses, GridFitParams(max_depth=5))
+        assert tree.root.split.loc == loc
+        assert [leaf.cell.mass for leaf in tree.leaves()] == [1, 1]
+        np.testing.assert_allclose(tree_fit_values(tree), ds.responses, rtol=0, atol=1e-12)
+
     def test_early_stop_prunes_weak_splits(self):
         rng = np.random.default_rng(6)
         noise = 0.1 * rng.standard_normal(64)

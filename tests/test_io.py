@@ -1,5 +1,6 @@
 """File formats: PGM, raw tensors, sphere CSVs, summary grids."""
 
+import struct
 import warnings
 
 import numpy as np
@@ -234,6 +235,20 @@ class TestSphereCsv:
         np.testing.assert_allclose(ds.locations[1], [0.0, 1.0, 0.0], atol=1e-15)
         np.testing.assert_allclose(ds.locations[2], [0.0, 0.0, 1.0], atol=1e-15)
 
+    @pytest.mark.parametrize("lat", ["95", "-90.5", "1e300"])
+    def test_lonlat_rejects_latitudes_beyond_the_poles(self, tmp_path, lat):
+        path = tmp_path / "ll.csv"
+        path.write_text(f"lon,lat,value\n0,{lat},1\n")
+        with pytest.raises(InvalidDatasetError, match="latitude"):
+            load_lonlat_csv(path)
+
+    def test_lonlat_accepts_any_finite_longitude(self, tmp_path):
+        path = tmp_path / "ll.csv"
+        path.write_text("lon,lat,value\n720,-90,1\n-450,45,2\n")
+        ds = load_lonlat_csv(path)
+        np.testing.assert_allclose(ds.locations[0], [0.0, 0.0, -1.0], atol=1e-15)
+        np.testing.assert_allclose(ds.locations[1], [0.0, -np.sqrt(0.5), np.sqrt(0.5)], atol=1e-15)
+
 
 class TestSummaryGrid:
     def test_round_trip(self, tmp_path):
@@ -362,3 +377,37 @@ def test_sphere_csv_fuzz_raises_only_typed_errors(tmp_path_factory, names, rows,
         lines.append(lines[-1])
     data = ("\n".join(lines) + "\n").encode()
     _load_or_typed_error(load_sphere_csv, tmp_path_factory.getbasetemp(), data[:cut])
+
+
+_U32 = st.one_of(st.integers(0, 6), st.sampled_from([16, 17, 2 ** 31, 2 ** 32 - 1]))
+_PAYLOAD = st.one_of(st.binary(max_size=120), st.integers(0, 40).map(lambda k: bytes(8 * k)))
+
+
+@pytest.mark.parametrize("loader", [load_tensor, load_summary_grid])
+@given(magic=st.sampled_from([b"UHWT", b"UHWS", b"UHW", b"P5 1"]), ndim=_U32,
+       dims=st.lists(_U32, max_size=5), payload=_PAYLOAD, cut=st.integers(0, 400))
+@settings(max_examples=150, deadline=None)
+def test_container_fuzz_raises_only_typed_errors(tmp_path_factory, loader, magic, ndim, dims,
+                                                 payload, cut):
+    data = magic + struct.pack(f"<I{len(dims)}I", ndim, *dims) + payload
+    _load_or_typed_error(loader, tmp_path_factory.getbasetemp(), data[:cut])
+
+
+_LONLAT_CELL = st.one_of(
+    _CSV_CELL,
+    st.floats(-400, 400).map(repr),
+    st.sampled_from(["90", "-90", "90.0000001", "-inf", "1e308"]),
+)
+
+
+@given(names=st.one_of(st.just(["lon", "lat", "value"]),
+                       st.lists(st.sampled_from(["lon", "lat", "value", "x", ""]), max_size=4)),
+       rows=st.lists(st.lists(_LONLAT_CELL, max_size=4), max_size=6),
+       repeat_last=st.booleans(), cut=st.integers(0, 200))
+@settings(max_examples=150, deadline=None)
+def test_lonlat_csv_fuzz_raises_only_typed_errors(tmp_path_factory, names, rows, repeat_last, cut):
+    lines = [",".join(names)] + [",".join(row) for row in rows]
+    if repeat_last and len(lines) > 1:
+        lines.append(lines[-1])
+    data = ("\n".join(lines) + "\n").encode()
+    _load_or_typed_error(load_lonlat_csv, tmp_path_factory.getbasetemp(), data[:cut])
