@@ -19,19 +19,21 @@ and the telescoping reconstruction
 returns the exact training response at singleton leaves and the leaf mean
 otherwise.
 
-Every read path (batch_reconstruct, tree_fit_values, sphere prediction
-and quantile weights) compiles its trees into flat arrays
-(compile_trees) and walks all queries down one level per step (descend),
-adding the branch deltas in path order, so the sums equal the
-node-by-node telescoping sums bit for bit.
+A UHTree is node arrays (one row per node), which growers write and
+every reader uses directly: tree.nodes[i] and friends are views made on
+demand.  Every read path (batch_reconstruct, tree_fit_values, sphere
+prediction and quantile weights) walks all queries down the arrays one
+level per step (descend), adding the branch deltas in path order, so the
+sums equal the node-by-node telescoping sums bit for bit; a sphere
+model's face trees are read as one (compile_trees concatenates them).
 
 Trees and datasets are immutable after fitting; all read paths are safe
 to call from many threads.  Construction is single-writer.
 """
 
 import math
-from dataclasses import dataclass, field
-from itertools import chain
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -132,12 +134,6 @@ class Cell:
             self.members = np.asarray(self.members, dtype=np.intp)
 
     @property
-    def kind(self):
-        if self.box is not None:
-            return "box"
-        return "triangle" if self.triangles.shape[0] == 1 else "tripair"
-
-    @property
     def mass(self):
         if self.members is not None:
             return int(self.members.size)
@@ -183,26 +179,11 @@ def _min3(dets):
 
 def tri_edge_normals(verts):
     """Outward-edge normals cross(v_i, v_{i+1}); det tests are dots with these."""
-    v0, v1, v2 = np.asarray(verts, dtype=np.float64).tolist()
-    return np.array([_cross3(v0, v1), _cross3(v1, v2), _cross3(v2, v0)])
+    return _edge_normals(np.asarray(verts, dtype=np.float64))
 
 
 def tri_contains_many(verts, points, eps=BOUNDARY_EPS):
     return _min3(points @ tri_edge_normals(verts).T) >= -eps
-
-
-def edge_child_vertices(verts, edge, xi):
-    """Children of cutting edge (v_e, v_{e+1}) at xi toward the opposite vertex.
-
-    Returns (plus_verts, minus_verts): the plus child contains v_{e+1}
-    (points with det[v_opp, xi, p] >= 0), the minus child contains v_e.
-    """
-    va = verts[edge]
-    vb = verts[(edge + 1) % 3]
-    vopp = verts[(edge + 2) % 3]
-    plus = np.array([vopp, xi, vb])
-    minus = np.array([vopp, va, xi])
-    return plus, minus
 
 
 def quad_child_vertices(verts, midpoints):
@@ -261,22 +242,15 @@ class Split:
         return sum(self.children[i].mass for i in group)
 
 
-def make_axis_split(cell, locations, dim, loc, *, _parts=None):
-    """Axis-aligned split of a box cell: members below loc go left.
-
-    ``_parts`` is the (left, right) pair of sorted member arrays a level
-    scan already partitioned at this cut, so the grower does not compare
-    the coordinates again.
-    """
-    if _parts is None:
-        left_mask = locations[cell.members, dim] < loc
-        _parts = cell.members[left_mask], cell.members[~left_mask]
+def make_axis_split(cell, locations, dim, loc):
+    """Axis-aligned split of a box cell: members below loc go left."""
+    left_mask = locations[cell.members, dim] < loc
     left_box = cell.box.copy()
     right_box = cell.box.copy()
     left_box[dim, 1] = loc
     right_box[dim, 0] = loc
-    left = Cell(_parts[0], cell.depth + 1, box=left_box)
-    right = Cell(_parts[1], cell.depth + 1, box=right_box)
+    left = Cell(cell.members[left_mask], cell.depth + 1, box=left_box)
+    right = Cell(cell.members[~left_mask], cell.depth + 1, box=right_box)
     return Split("axis", [left, right], (0,), (1,), dim=dim, loc=float(loc))
 
 
@@ -287,8 +261,10 @@ def _edge_cut(verts, edge, xi, points):
 
 
 def make_edge_split(cell, locations, edge, xi, *, _cut=None):
-    """Geodesic edge cut of a triangle cell; members split by det sign.
+    """Geodesic cut of a triangle cell from xi on edge (v_e, v_{e+1}) to the opposite vertex.
 
+    The plus child [v_opp, xi, v_{e+1}] takes the members with
+    det[v_opp, xi, p] >= 0, the minus child [v_opp, v_e, xi] the rest.
     ``_cut`` is the (normal, plus mask) pair _edge_cut already returned for
     this cut, so a split search that scored it does not compute it again.
     """
@@ -297,38 +273,32 @@ def make_edge_split(cell, locations, edge, xi, *, _cut=None):
     if _cut is None:
         _cut = _edge_cut(verts, edge, xi, locations[cell.members])
     normal, plus_mask = _cut
-    pv, mv = edge_child_vertices(verts, edge, xi)
-    plus = triangle_cell(pv, cell.members[plus_mask], cell.depth + 1)
-    minus = triangle_cell(mv, cell.members[~plus_mask], cell.depth + 1)
+    va, vb, vopp = verts[edge], verts[(edge + 1) % 3], verts[(edge + 2) % 3]
+    plus = triangle_cell([vopp, xi, vb], cell.members[plus_mask], cell.depth + 1)
+    minus = triangle_cell([vopp, va, xi], cell.members[~plus_mask], cell.depth + 1)
     return Split(
         "edge", [plus, minus], (0,), (1,),
         edge=edge, xi=xi, cut_normal=normal,
     )
 
 
-def quad_assign(child_cells, points):
-    """Containing sub-triangle index in {0..3}; smallest index on boundary ties."""
-    m = points.shape[0]
-    mind = np.empty((m, 4))
-    for idx, child in enumerate(child_cells):
-        mind[:, idx] = _min3(points @ tri_edge_normals(child.triangles[0]).T)
-    out = np.full(m, -1, dtype=np.intp)
-    for idx in range(4):
-        hit = (out < 0) & (mind[:, idx] >= -BOUNDARY_EPS)
-        out[hit] = idx
-    miss = out < 0
-    if np.any(miss):
-        out[miss] = mind[miss].argmax(axis=1)
-    return out
+def _quad_child(points, normals):
+    """Containing child 0..3 of each point, given its quad's (k, 4, 3, 3) child edge normals.
+
+    The smallest index wins a boundary tie; a point that fails all four
+    (only through rounding) goes to the child with the largest minimum
+    edge determinant.
+    """
+    mind = np.stack([_tri_min(points, normals[:, c]) for c in range(4)], axis=1)
+    inside = mind >= -BOUNDARY_EPS
+    return np.where(inside.any(axis=1), inside.argmax(axis=1), mind.argmax(axis=1))
 
 
 def make_quad_split(cell, locations, midpoints):
     """Midpoint 4-way split of a triangle; plus group = {corner0, central}."""
-    verts = cell.triangles[0]
     midpoints = np.asarray(midpoints, dtype=np.float64)
-    child_verts = quad_child_vertices(verts, midpoints)
-    shells = [triangle_cell(v, np.empty(0, dtype=np.intp), cell.depth + 1) for v in child_verts]
-    sub = quad_assign(shells, locations[cell.members])
+    child_verts = quad_child_vertices(cell.triangles[0], midpoints)
+    sub = _quad_child(locations[cell.members], _edge_normals(np.stack(child_verts))[None])
     children = [
         triangle_cell(child_verts[i], cell.members[sub == i], cell.depth + 1)
         for i in range(4)
@@ -410,19 +380,36 @@ def uh_coefficient(split, parent, responses):
 # trees
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Node:
-    id: int
-    parent: int
-    cell: Cell
-    split: Split = None
-    w: float = None
-    w_tilde: float = None
-    children: list = field(default_factory=list)
+_KINDS = ("leaf", "axis", "edge", "quad", "pair")
+_LEAF, _AXIS, _EDGE, _QUAD, _PAIR = range(len(_KINDS))
+_CODES = {name: code for code, name in enumerate(_KINDS)}
+# the parameter columns of each split kind, which are also its JSON keys and Split fields
+_SPLIT_PARAMS = {"axis": ("dim", "loc"), "edge": ("edge", "xi", "cut_normal"), "quad": ("midpoints",), "pair": ()}
+_PARAMS = {"box": _SPLIT_PARAMS["axis"], "triangle": _SPLIT_PARAMS["edge"] + _SPLIT_PARAMS["quad"]}
+_SHARED = ("parent", "children", "depth", "kind", "count", "start", "w", "w_tilde", "geometry")
+_ROW_SHAPES = {"children": (2,), "xi": (3,), "cut_normal": (3,), "midpoints": (3, 3)}
+_INTS = ("parent", "children", "depth", "kind", "count", "start", "dim", "edge")
+_FILLS = {"parent": -1, "children": -1, "kind": _LEAF, "w": np.nan, "w_tilde": np.nan, "geometry": np.nan}
 
-    @property
-    def is_leaf(self):
-        return self.split is None
+
+def _blank_columns(geometry_kind, geometry_shape, rows):
+    """Columns of `rows` unlinked leaf rows with no coefficient or geometry."""
+    return {
+        name: np.full((rows,) + (geometry_shape if name == "geometry" else _ROW_SHAPES.get(name, ())),
+                      _FILLS.get(name, 0), dtype=np.intp if name in _INTS else np.float64)
+        for name in _SHARED + _PARAMS[geometry_kind]
+    }
+
+
+def _column(name):
+    return property(lambda self: self._columns[name][:self._size], doc=f"{name} of every node")
+
+
+def _geometry(cell):
+    """The box or single triangle of a cell; None for a grouped half or a count-only cell."""
+    if cell.box is not None:
+        return cell.box
+    return cell.triangles[0] if cell.triangles is not None and len(cell.triangles) == 1 else None
 
 
 class UHTree:
@@ -433,33 +420,83 @@ class UHTree:
     stored as a two-level binary cascade (parent "quad" node -> two grouped
     halves with "pair" splits -> four triangles), so every internal node
     carries exactly one coefficient and the atom system stays complete.
+
+    Node i is row i of parent and children (-1 where absent; plus child
+    first), depth, kind (a code into _KINDS), count, start, w and w_tilde
+    (NaN where unset), geometry (box bounds or triangle vertices; NaN on
+    quad halves) and the split parameters (_PARAMS), as in scikit-learn's
+    Tree.  A node's members are perm[start:start + count]; a split
+    rewrites that slice as the plus members, then the minus members, each
+    sorted.  Trees loaded from disk have no perm.  nodes, root, leaves()
+    and internal_nodes() give read-only NodeViews, made on demand.
     """
 
+    parent, children, depth, kind, count, start, w, w_tilde, geometry = map(_column, _SHARED)
+    dim, loc, edge, xi, cut_normal, midpoints = map(_column, _PARAMS["box"] + _PARAMS["triangle"])
+
     def __init__(self, root_cell, intercept):
-        self.nodes = [Node(0, None, root_cell)]
-        self.intercept = float(intercept)
+        geometry = _geometry(root_cell)
+        self.geometry_kind = "box" if root_cell.box is not None else "triangle"
+        # no split leaves a group empty, so at most 2 mass - 1 nodes ever exist
+        self._columns = _blank_columns(self.geometry_kind, geometry.shape, max(1, 2 * root_cell.mass - 1))
+        self._columns["geometry"][0], self._columns["count"][0] = geometry, root_cell.mass
+        self._size, self.intercept = 1, float(intercept)
+        self.perm = None if root_cell.members is None else root_cell.members.copy()
+
+    @classmethod
+    def _of_columns(cls, geometry_kind, columns, intercept, perm):
+        tree = cls.__new__(cls)
+        tree.geometry_kind, tree._columns, tree._size = geometry_kind, columns, len(columns["kind"])
+        tree.intercept, tree.perm = float(intercept), perm
+        return tree
+
+    @property
+    def nodes(self):
+        return _NodeList(self)
 
     @property
     def root(self):
-        return self.nodes[0]
+        return NodeView(self, 0)
 
     def leaves(self):
-        return [nd for nd in self.nodes if nd.is_leaf]
+        return [NodeView(self, i) for i in np.flatnonzero(self.kind == _LEAF).tolist()]
 
     def internal_nodes(self):
-        return [nd for nd in self.nodes if not nd.is_leaf]
+        return [NodeView(self, i) for i in np.flatnonzero(self.kind != _LEAF).tolist()]
 
     def node_count(self):
-        return len(self.nodes)
+        return self._size
 
-    def max_depth(self):
-        return max(nd.cell.depth for nd in self.nodes)
+    def _new_rows(self, k):
+        size = self._size
+        if size + k > len(self._columns["kind"]):
+            raise ValueError("splits must partition a cell's members into nonempty groups")
+        self._size = size + k
+        return np.arange(size, size + k)
 
-    def _append(self, parent_id, cell):
-        node = Node(len(self.nodes), parent_id, cell)
-        self.nodes.append(node)
-        self.nodes[parent_id].children.append(node.id)
-        return node
+    def _add_children(self, parent_id, ids, cells):
+        """Rows ids become the (plus, minus) children of parent_id, described by cells.
+
+        Their perm slices split the parent's in turn and take the cells' members, if any.
+        """
+        c = self._columns
+        start = int(c["start"][parent_id])
+        for slot, (node, cell) in enumerate(zip(ids, cells)):
+            mass, geometry = cell.mass, _geometry(cell)
+            c["children"][parent_id, slot] = node
+            c["parent"][node], c["depth"][node] = parent_id, cell.depth
+            c["count"][node], c["start"][node] = mass, start
+            if geometry is not None:
+                c["geometry"][node] = geometry
+            if cell.members is not None:
+                self.perm[start:start + mass] = cell.members
+            start += mass
+
+    def _set_split(self, node_id, split, w):
+        c = self._columns
+        c["kind"][node_id], c["w"][node_id] = _CODES[split.kind], w
+        for name in _SPLIT_PARAMS[split.kind]:
+            c[name][node_id] = getattr(split, name)
 
     def split_node(self, node_id, split, responses):
         """Attach a split, computing its coefficient; returns new frontier ids.
@@ -467,142 +504,195 @@ class UHTree:
         For quad splits the grouped halves and their pair contrasts are
         created as well; the frontier then holds the four triangles.
         """
-        node = self.nodes[node_id]
-        if not node.is_leaf:
+        if self._columns["kind"][node_id] != _LEAF:
             raise ValueError("node already split")
-        node.split = split
-        node.w = uh_coefficient(split, node.cell, responses)
+        w = uh_coefficient(split, None, responses)
+        groups = [[split.children[i] for i in group] for group in (split.plus_group, split.minus_group)]
         if split.kind != "quad":
-            plus = self._append(node_id, split.children[split.plus_group[0]])
-            minus = self._append(node_id, split.children[split.minus_group[0]])
-            return [plus.id, minus.id]
-        frontier = []
-        for group in (split.plus_group, split.minus_group):
-            a, b = (split.children[i] for i in group)
-            half = Cell(
-                np.sort(np.concatenate([a.members, b.members])),
-                a.depth,
-                triangles=np.concatenate([a.triangles, b.triangles]),
-            )
-            half_node = self._append(node_id, half)
-            pair = Split("pair", [a, b], (0,), (1,))
-            half_node.split = pair
-            half_node.w = uh_coefficient(pair, half, responses)
-            for child in (a, b):
-                frontier.append(self._append(half_node.id, child).id)
-        return frontier
+            ids = self._new_rows(2).tolist()
+            self._set_split(node_id, split, w)
+            self._add_children(node_id, ids, [group[0] for group in groups])
+            return ids
+        pairs = [Split("pair", group, (0,), (1,)) for group in groups]
+        pair_ws = [uh_coefficient(pair, None, responses) for pair in pairs]
+        ids = self._new_rows(6).reshape(2, 3).tolist()  # per group: the half, then its two triangles
+        self._set_split(node_id, split, w)
+        self._add_children(node_id, [half for half, _, _ in ids],
+                           [Cell(None, a.depth, count=a.mass + b.mass) for a, b in groups])
+        for (half, *tris), pair, pair_w in zip(ids, pairs, pair_ws):
+            self._set_split(half, pair, pair_w)
+            self._add_children(half, tris, pair.children)
+        return [tri for _, *tris in ids for tri in tris]
+
+    def _split_axis_level(self, parents, dims, locs, members, sizes, responses):
+        """Axis-split the leaves `parents` at once; returns their (left, right) children.
+
+        members holds each parent's sorted left, then right members, and
+        sizes their counts (grid._partition's last row and sizes).  Each w
+        is one haar_coefficient of the two slices, as split_node stores it.
+        """
+        kids = self._new_rows(2 * parents.size).reshape(-1, 2)
+        c = self._columns
+        c["kind"][parents], c["dim"][parents], c["loc"][parents] = _AXIS, dims, locs
+        c["children"][parents], c["parent"][kids], c["count"][kids] = kids, parents[:, None], sizes.reshape(-1, 2)
+        bounds = [0] + np.cumsum(sizes).tolist()
+        c["w"][parents] = [haar_coefficient(responses, members[lo:mid], members[mid:hi])
+                           for lo, mid, hi in zip(bounds[:-1:2], bounds[1::2], bounds[2::2])]
+        self._derive_children(parents)
+        kids = kids.ravel()
+        self.perm[np.repeat(c["start"][kids] - bounds[:-1], sizes) + np.arange(members.size)] = members
+        return kids
+
+    def _derive_children(self, parents):
+        """depth, start and geometry of the children of split nodes, from the parents' rows.
+
+        A quad's halves and its four triangles (which the quad writes) sit one level below it.
+        """
+        c = self._columns
+        kind, kids, geometry = c["kind"][parents], c["children"][parents], c["geometry"]
+        c["depth"][kids] = (c["depth"][parents] + (kind != _PAIR))[:, None]
+        c["start"][kids[:, 0]] = c["start"][parents]
+        c["start"][kids[:, 1]] = c["start"][parents] + c["count"][kids[:, 0]]
+        if self.geometry_kind == "box":
+            at, dims, locs = np.arange(parents.size), c["dim"][parents], c["loc"][parents]
+            left, right = geometry[parents], geometry[parents]
+            left[at, dims, 1], right[at, dims, 0] = locs, locs
+            geometry[kids[:, 0]], geometry[kids[:, 1]] = left, right
+            return
+        edges, quads = kind == _EDGE, kind == _QUAD
+        if edges.any():  # as make_edge_split cuts
+            e, xi, verts = c["edge"][parents[edges]], c["xi"][parents[edges]], geometry[parents[edges]]
+            at = np.arange(e.size)
+            va, vb, vopp = verts[at, e], verts[at, (e + 1) % 3], verts[at, (e + 2) % 3]
+            geometry[kids[edges, 0]] = np.stack([vopp, xi, vb], axis=1)
+            geometry[kids[edges, 1]] = np.stack([vopp, va, xi], axis=1)
+        if quads.any():
+            tris = quad_child_vertices(geometry[parents[quads]].transpose(1, 0, 2),
+                                       c["midpoints"][parents[quads]].transpose(1, 0, 2))
+            grand = c["children"][kids[quads]]  # the halves' [corner0, central], [corner1, corner2]
+            for tri, (half, slot) in zip(tris, ((0, 0), (1, 0), (0, 1), (1, 1))):
+                geometry[grand[:, half, slot]] = tri.transpose(1, 0, 2)
 
     def set_shrunk(self, shrink_fn):
         """Populate w_tilde = shrink_fn(w) at every internal node."""
-        for node in self.nodes:
-            if node.split is not None:
-                node.w_tilde = float(shrink_fn(node.w))
+        internal = np.flatnonzero(self.kind != _LEAF)
+        self._columns["w_tilde"][internal] = [float(shrink_fn(w)) for w in self.w[internal].tolist()]
 
     def atoms(self):
         """UHAtom per internal node, in node-id order."""
-        return [uh_atom(nd.split, nd.cell) for nd in self.nodes if nd.split is not None]
+        return [uh_atom(nd.split, nd.cell) for nd in self.internal_nodes()]
 
 
-_KINDS = ("leaf", "axis", "edge", "quad", "pair")
-_LEAF, _AXIS, _EDGE, _QUAD, _PAIR = range(len(_KINDS))
-_CODES = {name: code for code, name in enumerate(_KINDS)}
+def _internal_levels(tree, level):
+    """The split nodes at and below the rows `level`, one depth level at a time, top down."""
+    kind, children = tree.kind, tree.children
+    while level.size:
+        level = level[kind[level] != _LEAF]
+        if level.size:
+            yield level
+        level = children[level].ravel()
 
 
-@dataclass
-class FlatTrees:
-    """Trees compiled into flat arrays, concatenated in order.
+class NodeView:
+    """Node `id` of a UHTree, read from the tree's arrays.
 
-    Node i of trees[t] is row roots[t] + i.  kind holds the split kinds
-    (codes into _KINDS), children the (plus, minus) child rows (-1 at
-    leaves), and slot each node's row in its kind's parameter table:
-    axis_dim/axis_loc, edge_normal (the cut normals), quad_normals (the
-    four child triangles' edge normals) and pair_normals (the first
-    child triangle's edge normals).  d_plus/d_minus are the branch
-    deltas w*sqrt(n_minus/(n_A n_plus)) and -w*sqrt(n_plus/(n_A n_minus))
-    of the chosen coefficients; intercept is per tree.  With members,
-    perm lists every leaf's training members and a leaf owns
-    perm[start:start + size].
+    parent and w/w_tilde are None where unset.  cell and split rebuild the
+    node's Cell and Split on each access; a quad split's children are its
+    triangles [corner0, corner1, central, corner2].
     """
 
-    roots: np.ndarray
-    intercept: np.ndarray
-    kind: np.ndarray
-    children: np.ndarray
-    slot: np.ndarray
-    axis_dim: np.ndarray
-    axis_loc: np.ndarray
-    edge_normal: np.ndarray
-    quad_normals: np.ndarray
-    pair_normals: np.ndarray
-    d_plus: np.ndarray
-    d_minus: np.ndarray
-    perm: np.ndarray = None
-    start: np.ndarray = None
-    size: np.ndarray = None
+    __slots__ = ("tree", "id", "parent", "children", "is_leaf", "w", "w_tilde")
+
+    def __init__(self, tree, node_id):
+        c = tree._columns
+        self.tree, self.id = tree, node_id
+        self.parent = None if c["parent"][node_id] < 0 else int(c["parent"][node_id])
+        self.is_leaf = bool(c["kind"][node_id] == _LEAF)
+        self.children = [] if self.is_leaf else c["children"][node_id].tolist()
+        self.w, self.w_tilde = _optional(np.array([c["w"][node_id], c["w_tilde"][node_id]]))
+
+    @property
+    def cell(self):
+        tree, i = self.tree, self.id
+        c = tree._columns
+        start, count, depth = (int(c[name][i]) for name in ("start", "count", "depth"))
+        members = None
+        if tree.perm is not None:
+            members = tree.perm[start:start + count]  # a leaf's slice is sorted
+            members = members if self.is_leaf else np.sort(members)
+        if tree.geometry_kind == "box":
+            return Cell(members, depth, box=c["geometry"][i].copy(), count=count)
+        rows = self.children if c["kind"][i] == _PAIR else [i]
+        return Cell(members, depth, triangles=c["geometry"][rows], count=count)
+
+    @property
+    def split(self):
+        c = self.tree._columns
+        kind = _KINDS[c["kind"][self.id]]
+        if kind == "leaf":
+            return None
+        kids = self.children
+        if kind == "quad":  # the four triangles in [corner0, corner1, central, corner2] order
+            (a, b), (d, e) = c["children"][kids].tolist()
+            kids = [a, d, b, e]
+        groups = ((0, 2), (1, 3)) if kind == "quad" else ((0,), (1,))
+        params = {name: c[name][self.id] for name in _SPLIT_PARAMS[kind]}
+        return Split(kind, [NodeView(self.tree, j).cell for j in kids], *groups,
+                     **{name: v.item() if v.ndim == 0 else v.copy() for name, v in params.items()})
 
 
-def _table(rows, shape):
-    return np.array(rows, dtype=np.float64).reshape((len(rows),) + shape)
+class _NodeList(Sequence):
+    """tree.nodes: NodeView i for index i, made when asked for."""
+
+    def __init__(self, tree):
+        self.tree = tree
+
+    def __len__(self):
+        return self.tree.node_count()
+
+    def __getitem__(self, i):
+        ids = range(len(self))[i]
+        return [NodeView(self.tree, j) for j in ids] if isinstance(i, slice) else NodeView(self.tree, ids)
 
 
-def compile_trees(trees, shrunk=False, members=False):
-    """Flat arrays of the trees for the level-synchronous descent.
+def compile_trees(trees):
+    """The trees as one UHTree for the descent: (flat, roots, intercepts).
 
-    Compiled per call and not cached: split_node and set_shrunk change a
-    tree after creation.  members=True also lays out the leaf slices.
+    Node i of trees[t] is row roots[t] + i of flat: the trees' columns and
+    perms concatenated, child, parent and perm positions offset.  A single
+    tree is its own flat form; flat's own intercept is unused.
     """
-    sizes = [len(tree.nodes) for tree in trees]
-    count = sum(sizes)
-    roots = np.concatenate([[0], np.cumsum(sizes)[:-1]]).astype(np.intp)
-    nodes = [nd for tree in trees for nd in tree.nodes]
-    splits = [nd.split for nd in nodes]
-    kind = np.fromiter((_LEAF if s is None else _CODES[s.kind] for s in splits), np.intp, count)
-    internal = np.flatnonzero(kind != _LEAF)
-    inner = internal.tolist()
-    children = np.full((count, 2), -1, dtype=np.intp)
-    children[internal] = np.fromiter(
-        chain.from_iterable(nodes[i].children for i in inner), np.intp, 2 * len(inner),
-    ).reshape(-1, 2) + np.repeat(roots, sizes)[internal, None]
-    slot = np.zeros(count, dtype=np.intp)
-    by_kind = {}
-    for code in range(_AXIS, len(_KINDS)):
-        rows = np.flatnonzero(kind == code)
-        slot[rows] = np.arange(rows.size)
-        by_kind[code] = [splits[i] for i in rows.tolist()]
-    mass = np.fromiter((nd.cell.mass for nd in nodes), np.int64, count)
-    coef = (nodes[i].w_tilde if shrunk else nodes[i].w for i in inner)
-    w = np.fromiter((0.0 if c is None else c for c in coef), np.float64, len(inner))
-    n_a, n_plus, n_minus = mass[internal], mass[children[internal, 0]], mass[children[internal, 1]]
-    d_plus = np.zeros(count)
-    d_minus = np.zeros(count)
+    intercepts = np.array([tree.intercept for tree in trees], dtype=np.float64)
+    if len(trees) == 1:
+        return trees[0], np.zeros(1, dtype=np.intp), intercepts
+    sizes = np.array([tree.node_count() for tree in trees])
+    roots = np.cumsum(sizes) - sizes
+    columns = {name: np.concatenate([tree._columns[name][:tree.node_count()] for tree in trees])
+               for name in trees[0]._columns}
+    shift = np.repeat(roots, sizes)
+    columns["parent"] += np.where(columns["parent"] >= 0, shift, 0)
+    columns["children"] += np.where(columns["children"] >= 0, shift[:, None], 0)
+    masses = np.array([tree.count[0] for tree in trees])
+    columns["start"] += np.repeat(np.cumsum(masses) - masses, sizes)
+    perm = None if any(tree.perm is None for tree in trees) else np.concatenate([tree.perm for tree in trees])
+    return UHTree._of_columns(trees[0].geometry_kind, columns, np.nan, perm), roots, intercepts
+
+
+def _deltas(flat, shrunk):
+    """Branch deltas (d_plus, d_minus) of every node, 0 at leaves.
+
+    w*sqrt(n_minus/(n_A n_plus)) and -w*sqrt(n_plus/(n_A n_minus)) for w, or
+    for w_tilde with shrunk (an unset w_tilde counts as 0).
+    """
+    internal = np.flatnonzero(flat.kind != _LEAF)
+    coef = (flat.w_tilde if shrunk else flat.w)[internal]
+    w = np.where(np.isnan(coef), 0.0, coef)
+    mass, kids = flat.count, flat.children[internal]
+    n_a, n_plus, n_minus = mass[internal], mass[kids[:, 0]], mass[kids[:, 1]]
+    d_plus, d_minus = np.zeros(mass.size), np.zeros(mass.size)
     d_plus[internal] = w * np.sqrt(n_minus / (n_a * n_plus))
     d_minus[internal] = -w * np.sqrt(n_plus / (n_a * n_minus))
-    axes = by_kind[_AXIS]
-    flat = FlatTrees(
-        roots=roots,
-        intercept=np.array([tree.intercept for tree in trees], dtype=np.float64),
-        kind=kind,
-        children=children,
-        slot=slot,
-        axis_dim=np.fromiter((s.dim for s in axes), np.intp, len(axes)),
-        axis_loc=np.fromiter((s.loc for s in axes), np.float64, len(axes)),
-        edge_normal=_table([s.cut_normal for s in by_kind[_EDGE]], (3,)),
-        quad_normals=_table([[tri_edge_normals(c.triangles[0]) for c in s.children]
-                             for s in by_kind[_QUAD]], (4, 3, 3)),
-        pair_normals=_table([tri_edge_normals(s.children[0].triangles[0])
-                             for s in by_kind[_PAIR]], (3, 3)),
-        d_plus=d_plus,
-        d_minus=d_minus,
-    )
-    if members:
-        leaves = np.flatnonzero(kind == _LEAF)
-        parts = [nodes[i].cell.members for i in leaves.tolist()]
-        flat.size = np.zeros(count, dtype=np.intp)
-        flat.size[leaves] = np.fromiter((p.size for p in parts), np.intp, len(parts))
-        flat.start = np.zeros(count, dtype=np.intp)
-        flat.start[leaves] = np.cumsum(flat.size[leaves]) - flat.size[leaves]
-        flat.perm = np.concatenate(parts).astype(np.intp, copy=False)
-    return flat
+    return d_plus, d_minus
 
 
 def _dot3(points, normals):
@@ -615,72 +705,87 @@ def _dot3(points, normals):
     return points[:, 0] * normals[..., 0] + points[:, 1] * normals[..., 1] + points[:, 2] * normals[..., 2]
 
 
+def _rotate(points, rotation):
+    """points @ rotation.T, each coordinate summed in _dot3's order.
+
+    BLAS would round a point's rotated coordinates differently depending
+    on how many points share the product; this does not.
+    """
+    return np.ascontiguousarray(_dot3(points, rotation[:, None, :]).T)
+
+
+def _cross_rows(a, b):
+    """Row-wise np.cross of (..., 3) arrays; either may be one 3-vector."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+
+
+def _edge_normals(verts):
+    """Edge normals cross(v_e, v_{e+1}) of (..., 3, 3) vertex arrays."""
+    return _cross_rows(verts, verts[..., [1, 2, 0], :])
+
+
 def _tri_min(points, normals):
     """Minimum edge determinant of each point against its triangle's (k, 3, 3) normals."""
     return _min3(np.stack([_dot3(points, normals[:, e]) for e in range(3)], axis=-1))
 
 
-def _plus_side(flat, code, slot, points, rows):
-    """Plus-side mask of points[rows] against nodes of one split kind."""
+def _plus_side(flat, code, at, points, rows):
+    """Plus-side mask of points[rows] against the nodes at, all of one split kind."""
     if code == _AXIS:
-        return points[rows, flat.axis_dim[slot]] < flat.axis_loc[slot]
+        return points[rows, flat.dim[at]] < flat.loc[at]
     pts = points[rows]
     if code == _EDGE:
-        return _dot3(pts, flat.edge_normal[slot]) >= 0.0
+        return _dot3(pts, flat.cut_normal[at]) >= 0.0
+    kids = flat.children[at]
     if code == _PAIR:
-        return _tri_min(pts, flat.pair_normals[slot]) >= -BOUNDARY_EPS
-    # quad: containing child, smallest index on ties, else the largest minimum
-    quads = flat.quad_normals[slot]
-    mind = np.stack([_tri_min(pts, quads[:, c]) for c in range(4)], axis=1)
-    inside = mind >= -BOUNDARY_EPS
-    sub = np.where(inside.any(axis=1), inside.argmax(axis=1), mind.argmax(axis=1))
+        return _tri_min(pts, _edge_normals(flat.geometry[kids[:, 0]])) >= -BOUNDARY_EPS
+    # quad: the halves' children are [corner0, central] and [corner1, corner2]
+    quads = flat.geometry[flat.children[kids][:, [0, 1, 0, 1], [0, 0, 1, 1]]]
+    sub = _quad_child(pts, _edge_normals(quads))
     return (sub == 0) | (sub == 2)
 
 
-def _branch(flat, at, plus):
-    """(delta, child) of stepping from nodes at into their plus or minus child."""
-    return (np.where(plus, flat.d_plus[at], flat.d_minus[at]),
-            np.where(plus, flat.children[at, 0], flat.children[at, 1]))
-
-
-def descend(flat, points, nodes, values):
+def descend(flat, deltas, points, nodes, values):
     """Walk every query from its node down to a leaf, one level per step.
 
     Each step tests the points against their nodes' splits, adds the
-    plus or minus delta to values in path order (so the sums equal the
-    telescoping reconstruction's, addition for addition) and moves each
-    point to its child.  nodes and values are updated in place; nodes
-    ends at the leaf rows.
+    plus or minus delta (_deltas) to values in path order (so the sums
+    equal the telescoping reconstruction's, addition for addition) and
+    moves each point to its child.  nodes and values are updated in
+    place; nodes ends at the leaf rows.
     """
-    active = np.flatnonzero(flat.kind[nodes] != _LEAF)
+    kind, children = flat.kind, flat.children
+    d_plus, d_minus = deltas
+    active = np.flatnonzero(kind[nodes] != _LEAF)
     while active.size:
         at = nodes[active]
-        kinds = flat.kind[at]
-        slots = flat.slot[at]
+        kinds = kind[at]
         first = kinds[0]
         if (kinds == first).all():
-            plus = _plus_side(flat, first, slots, points, active)
+            plus = _plus_side(flat, first, at, points, active)
         else:
             plus = np.empty(active.size, dtype=bool)
             for code in np.unique(kinds).tolist():
                 sel = kinds == code
-                plus[sel] = _plus_side(flat, code, slots[sel], points, active[sel])
-        delta, nxt = _branch(flat, at, plus)
-        values[active] += delta
+                plus[sel] = _plus_side(flat, code, at[sel], points, active[sel])
+        values[active] += np.where(plus, d_plus[at], d_minus[at])
+        nxt = np.where(plus, children[at, 0], children[at, 1])
         nodes[active] = nxt
-        active = active[flat.kind[nxt] != _LEAF]
+        active = active[kind[nxt] != _LEAF]
 
 
-def run_descent(trees, points, tree_of_point, shrunk=False, members=False):
-    """Compile trees and descend each point from the root of trees[tree_of_point].
+def run_descent(trees, points, tree_of_point, shrunk=False):
+    """Descend each point from the root of trees[tree_of_point].
 
-    Returns (flat, values, leaves): the compiled arrays, the telescoping
-    sums and the leaf rows of flat.
+    Returns (flat, values, leaves): compile_trees' flat tree, the
+    telescoping sums and the leaf rows of flat.
     """
-    flat = compile_trees(trees, shrunk, members)
-    leaves = flat.roots[tree_of_point]
-    values = flat.intercept[tree_of_point]
-    descend(flat, points, leaves, values)
+    flat, roots, intercepts = compile_trees(trees)
+    leaves = roots[tree_of_point]
+    values = intercepts[tree_of_point]
+    descend(flat, _deltas(flat, shrunk), points, leaves, values)
     return flat, values, leaves
 
 
@@ -692,12 +797,12 @@ def batch_reconstruct(tree, points, shrunk=False):
 
 
 def _in_root(tree, point):
-    cell = tree.root.cell
-    if cell.kind == "box":
-        lo, hi = cell.box[:, 0], cell.box[:, 1]
+    geometry = tree.geometry[0]
+    if tree.geometry_kind == "box":
+        lo, hi = geometry[:, 0], geometry[:, 1]
         tol = 1e-9 * np.maximum(1.0, hi - lo)
         return bool(np.all(point >= lo - tol) and np.all(point <= hi + tol))
-    return bool(tri_contains_many(cell.triangles[0], point[None, :], eps=1e-9)[0])
+    return bool(tri_contains_many(geometry, point[None, :], eps=1e-9)[0])
 
 
 def reconstruct(tree, point, shrunk=False):
@@ -714,30 +819,24 @@ def reconstruct(tree, point, shrunk=False):
     return float(values[0])
 
 
-def _path_sums(flat):
-    """Value of every node's telescoping sum from its tree's root.
+def leaf_member_values(trees, shrunk=False):
+    """(training ids, fitted values): every leaf member of the trees with its leaf's sum.
 
-    Sums are built top-down one level at a time with descend's step,
-    each child adding its branch delta to its parent's sum, so a
-    training point's sum is the one descend computes for it, addition
-    for addition.
+    Sums are built top-down one level at a time, each child adding its
+    branch delta to its parent's sum, so a training point's value is the
+    one descend computes for it, addition for addition.
     """
-    sums = np.zeros(flat.kind.size)
-    level = flat.roots
-    sums[level] = flat.intercept
-    while level.size:
-        level = level[flat.kind[level] != _LEAF]
-        at = np.concatenate([level, level])
-        delta, nxt = _branch(flat, at, np.arange(at.size) < level.size)
-        sums[nxt] = sums[at] + delta
-        level = nxt
-    return sums
-
-
-def leaf_member_values(flat):
-    """(training ids, fitted values): every leaf member with its leaf's path sum."""
+    flat, roots, intercepts = compile_trees(trees)
+    d_plus, d_minus = _deltas(flat, shrunk)
+    sums = np.zeros(flat.node_count())
+    sums[roots] = intercepts
+    for level in _internal_levels(flat, roots):
+        kids = flat.children[level]
+        sums[kids[:, 0]] = sums[level] + d_plus[level]
+        sums[kids[:, 1]] = sums[level] + d_minus[level]
     leaves = np.flatnonzero(flat.kind == _LEAF)
-    return flat.perm, np.repeat(_path_sums(flat)[leaves], flat.size[leaves])
+    leaves = leaves[np.argsort(flat.start[leaves], kind="stable")]  # their slices tile perm in order
+    return flat.perm, np.repeat(sums[leaves], flat.count[leaves])
 
 
 def tree_fit_values(tree, shrunk=False):
@@ -747,10 +846,8 @@ def tree_fit_values(tree, shrunk=False):
     a whole dataset this is simply index order).  Elementwise equal to
     reconstruct() at each training location.
     """
-    ids, fitted = leaf_member_values(compile_trees([tree], shrunk, members=True))
-    values = np.empty(ids.size)
-    values[np.searchsorted(tree.root.cell.members, ids)] = fitted
-    return values
+    ids, fitted = leaf_member_values([tree], shrunk)
+    return fitted[np.argsort(ids)]
 
 
 def system_matrix(tree, n):
@@ -777,19 +874,17 @@ def gram_matrix(tree, n):
 # JSON serialization
 # ---------------------------------------------------------------------------
 
-def _split_record(split):
-    if split.kind == "axis":
-        return {"kind": "axis", "dim": int(split.dim), "loc": float(split.loc)}
-    if split.kind == "edge":
-        return {
-            "kind": "edge",
-            "edge": int(split.edge),
-            "xi": [float(v) for v in split.xi],
-            "cut_normal": [float(v) for v in split.cut_normal],
-        }
-    if split.kind == "quad":
-        return {"kind": "quad", "midpoints": [[float(v) for v in row] for row in split.midpoints]}
-    return {"kind": "pair"}
+def _optional(column):
+    """Column values as a list, None where unset (NaN)."""
+    return [None if v != v else v for v in column.tolist()]
+
+
+def _split_records(tree):
+    """The split record of every node ({"kind", then its _SPLIT_PARAMS}), None at leaves."""
+    params = {name: tree._columns[name][:tree.node_count()].tolist() for name in _PARAMS[tree.geometry_kind]}
+    return [None if code == _LEAF else
+            {"kind": _KINDS[code], **{name: params[name][i] for name in _SPLIT_PARAMS[_KINDS[code]]}}
+            for i, code in enumerate(tree.kind.tolist())]
 
 
 def tree_to_dict(tree):
@@ -799,107 +894,44 @@ def tree_to_dict(tree):
     geometry is replayed from the root geometry and the splits on load, so
     the round trip is bit-faithful for finite doubles.
     """
-    root = tree.root.cell
-    if root.kind == "box":
-        header = {"kind": "box", "bounds": [[float(a), float(b)] for a, b in root.box]}
-    else:
-        header = {"kind": "triangle", "vertices": [[float(v) for v in row] for row in root.triangles[0]]}
-    nodes = []
-    for node in tree.nodes:
-        nodes.append({
-            "id": node.id,
-            "parent": node.parent,
-            "split": None if node.split is None else _split_record(node.split),
-            "w": None if node.w is None else float(node.w),
-            "w_tilde": None if node.w_tilde is None else float(node.w_tilde),
-            "member_count": node.cell.mass,
-        })
-    return {"format": "uhwt-tree", "version": 1, "intercept": float(tree.intercept), "root": header, "nodes": nodes}
-
-
-def _shell(geometry_kind, depth, count, box=None, triangles=None):
-    return Cell(None, depth, box=box, triangles=triangles, count=count)
+    corners = "bounds" if tree.geometry_kind == "box" else "vertices"
+    nodes = [
+        {"id": i, "parent": None if parent < 0 else parent, "split": split, "w": w,
+         "w_tilde": w_tilde, "member_count": count}
+        for i, (parent, split, w, w_tilde, count) in enumerate(zip(
+            tree.parent.tolist(), _split_records(tree), _optional(tree.w),
+            _optional(tree.w_tilde), tree.count.tolist()))
+    ]
+    return {"format": "uhwt-tree", "version": 1, "intercept": float(tree.intercept),
+            "root": {"kind": tree.geometry_kind, corners: tree.geometry[0].tolist()}, "nodes": nodes}
 
 
 def tree_from_dict(payload):
     """Rebuild a tree from tree_to_dict output (geometry replayed, no members)."""
     if payload.get("format") != "uhwt-tree":
         raise ValueError("not a serialized tree")
-    records = payload["nodes"]
-    header = payload["root"]
-    if header["kind"] == "box":
-        root = _shell("box", 0, records[0]["member_count"], box=np.asarray(header["bounds"], dtype=np.float64))
-    else:
-        verts = np.asarray(header["vertices"], dtype=np.float64)
-        root = _shell("triangle", 0, records[0]["member_count"], triangles=verts[None, :, :])
-    tree = UHTree(root, payload["intercept"])
-    tree.nodes = [Node(0, None, root)]
-    by_parent = {}
-    for rec in records[1:]:
-        by_parent.setdefault(rec["parent"], []).append(rec)
-    order = sorted(records, key=lambda r: r["id"])
-    cells = {0: root}
-    for rec in order:
-        nid = rec["id"]
-        if rec["split"] is None:
-            continue
-        node = tree.nodes[nid]
-        cell = cells[nid]
-        srec = rec["split"]
-        kids = sorted(by_parent[nid], key=lambda r: r["id"])
-        kind = srec["kind"]
-        if kind == "axis":
-            box_l, box_r = cell.box.copy(), cell.box.copy()
-            dim, loc = srec["dim"], srec["loc"]
-            box_l[dim, 1] = loc
-            box_r[dim, 0] = loc
-            child_cells = [
-                _shell("box", cell.depth + 1, kids[0]["member_count"], box=box_l),
-                _shell("box", cell.depth + 1, kids[1]["member_count"], box=box_r),
-            ]
-            node.split = Split("axis", child_cells, (0,), (1,), dim=dim, loc=loc)
-        elif kind == "edge":
-            xi = np.asarray(srec["xi"], dtype=np.float64)
-            pv, mv = edge_child_vertices(cell.triangles[0], srec["edge"], xi)
-            child_cells = [
-                _shell("triangle", cell.depth + 1, kids[0]["member_count"], triangles=pv[None]),
-                _shell("triangle", cell.depth + 1, kids[1]["member_count"], triangles=mv[None]),
-            ]
-            node.split = Split(
-                "edge", child_cells, (0,), (1,), edge=srec["edge"], xi=xi,
-                cut_normal=np.asarray(srec["cut_normal"], dtype=np.float64),
-            )
-        elif kind == "quad":
-            mids = np.asarray(srec["midpoints"], dtype=np.float64)
-            quads = quad_child_vertices(cell.triangles[0], mids)
-            halves = [
-                _shell("tripair", cell.depth + 1, kids[0]["member_count"],
-                       triangles=np.stack([quads[0], quads[2]])),
-                _shell("tripair", cell.depth + 1, kids[1]["member_count"],
-                       triangles=np.stack([quads[1], quads[3]])),
-            ]
-            # child group cells hold only counts; quad membership tests use them
-            group_shells = [
-                _shell("triangle", cell.depth + 1, 0, triangles=q[None]) for q in quads
-            ]
-            node.split = Split("quad", group_shells, (0, 2), (1, 3), midpoints=mids)
-            child_cells = halves
-        elif kind == "pair":
-            tris = cell.triangles
-            child_cells = [
-                _shell("triangle", cell.depth + 1, kids[0]["member_count"], triangles=tris[0][None]),
-                _shell("triangle", cell.depth + 1, kids[1]["member_count"], triangles=tris[1][None]),
-            ]
-            node.split = Split("pair", child_cells, (0,), (1,))
-        else:
-            raise ValueError(f"unknown split kind {kind!r}")
-        node.w = rec["w"]
-        node.w_tilde = rec["w_tilde"]
-        for krec, kcell in zip(kids, child_cells):
-            child = Node(krec["id"], nid, kcell)
-            while len(tree.nodes) <= krec["id"]:
-                tree.nodes.append(None)
-            tree.nodes[krec["id"]] = child
-            node.children.append(krec["id"])
-            cells[krec["id"]] = kcell
+    records = sorted(payload["nodes"], key=lambda r: r["id"])
+    geometry_kind = payload["root"]["kind"]
+    geometry = np.asarray(payload["root"]["bounds" if geometry_kind == "box" else "vertices"], dtype=np.float64)
+    c = _blank_columns(geometry_kind, geometry.shape, len(records))
+    c["geometry"][0] = geometry
+    splits = [rec["split"] for rec in records]
+    if any(split is not None and split["kind"] not in _SPLIT_PARAMS for split in splits):
+        raise ValueError("unknown split kind")
+    c["kind"][:] = [_LEAF if split is None else _CODES[split["kind"]] for split in splits]
+    c["count"][:] = [rec["member_count"] for rec in records]
+    for name in ("w", "w_tilde"):
+        c[name][:] = np.array([rec[name] for rec in records], dtype=np.float64)  # None reads as NaN
+    parents = np.array([rec["parent"] for rec in records[1:]], dtype=np.intp)
+    c["parent"][1:] = parents
+    kids = np.argsort(parents, kind="stable").reshape(-1, 2) + 1  # siblings in id order, plus first
+    c["children"][parents[kids[:, 0] - 1]] = kids
+    for kind, names in _SPLIT_PARAMS.items():
+        rows = np.flatnonzero(c["kind"] == _CODES[kind]).tolist()
+        for name in names:
+            if rows:
+                c[name][rows] = [splits[i][name] for i in rows]
+    tree = UHTree._of_columns(geometry_kind, c, payload["intercept"], None)
+    for level in _internal_levels(tree, np.zeros(1, dtype=np.intp)):
+        tree._derive_children(level)
     return tree

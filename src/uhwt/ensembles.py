@@ -29,10 +29,8 @@ from ._streams import MEMBER, STAGE, stream_rng
 from .core import (
     SPHERE,
     batch_reconstruct,
-    compile_trees,
     leaf_member_values,
     run_descent,
-    tree_fit_values,
     tree_from_dict,
     tree_to_dict,
 )
@@ -76,16 +74,6 @@ class ForestEnsemble:
     rule: str = None
 
 
-def _stage_train_values(model, n, kind):
-    """Fitted values of one learner at its own training points."""
-    if kind == SPHERE:
-        out = np.empty(n)
-        ids, fitted = leaf_member_values(compile_trees(model.face_trees, shrunk=True, members=True))
-        out[ids] = fitted
-        return out
-    return tree_fit_values(model, shrunk=True)
-
-
 def fit_learner(dataset, responses, params, rule, rotation, soft_c):
     """One weak learner fit to responses, soft-thresholded; returns (model, tau).
 
@@ -126,7 +114,9 @@ def boost_fit(dataset, responses, n_stages, eta, params, rotate=True,
     for t in range(n_stages):
         rotation = _rotation(dataset, rotate, seed, STAGE, t)
         model, tau = fit_learner(dataset, responses - fitted, params, rule, rotation, soft_c)
-        fitted += eta * _stage_train_values(model, dataset.n, dataset.kind)
+        # the learner's fitted values at its own training points
+        ids, values = leaf_member_values(model.face_trees if dataset.kind == SPHERE else [model], shrunk=True)
+        fitted[ids] += eta * values
         stages.append(BoostStage(rotation, model, tau))
     return BoostEnsemble(intercept, eta, stages, dataset.kind, rule)
 
@@ -189,22 +179,13 @@ def rre_fit(dataset, responses, n_members, params, rule="adapt", seed=0,
 # quantile forests
 # ---------------------------------------------------------------------------
 
-def _member_leaves(member, queries, kind):
-    """(flat, leaf rows) of one member at the queries; flat carries the leaf slices."""
-    if kind == SPHERE:
-        flat, _, leaves = model_descent(member, queries, members=True)
-    else:
-        flat, _, leaves = run_descent([member], queries, np.zeros(queries.shape[0], dtype=np.intp),
-                                      members=True)
-    return flat, leaves
-
-
 def quantile_weights_batch(forest, queries):
     """(m, n) leaf-sharing weights: w_i(x) = mean_b 1{x_i in leaf_b(x)} / |leaf_b(x)|.
 
     A member whose containing leaf holds no training points spreads its
     1/B mass uniformly; every row sums to one.  Each member adds
-    1/(B |leaf|) to the cells of its leaves' member slices in one step.
+    1/(B |leaf|) to the cells of its leaves' member slices (flat.perm) in
+    one step.
     """
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     m = queries.shape[0]
@@ -212,8 +193,9 @@ def quantile_weights_batch(forest, queries):
     weights = np.zeros((m, n))
     b = len(forest.members)
     for member in forest.members:
-        flat, leaves = _member_leaves(member, queries, forest.kind)
-        size = flat.size[leaves]
+        flat, _, leaves = (model_descent(member, queries) if forest.kind == SPHERE else
+                           run_descent([member], queries, np.zeros(m, dtype=np.intp)))
+        size = flat.count[leaves]
         weights[size == 0] += 1.0 / (b * n)
         first = np.cumsum(size) - size  # each row's offset among the repeated cells
         cells = np.arange(size.sum()) + np.repeat(flat.start[leaves] - first, size)

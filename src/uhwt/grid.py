@@ -12,8 +12,10 @@ Trees grow one depth level at a time.  The points are sorted once per
 dimension at the root; every frontier cell is a segment of those orders,
 and one scan (_best_cuts) scores the cuts of all frontier cells of a
 level together.  A stable partition of each order then yields the child
-segments, so no node sorts its members again.  Node ids, splits, members
-and coefficients are those of a node-by-node breadth-first grower.
+segments, so no node sorts its members again, and each level's children
+are written into the tree's node arrays at once
+(UHTree._split_axis_level).  Node ids, splits, members and coefficients
+are those of a node-by-node breadth-first grower.
 
 Fitting a single tree is single-threaded; many trees may be fit
 concurrently against a shared read-only dataset.
@@ -24,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import UHTree, cut_coefficients, make_axis_split, root_cell_grid
+from .core import UHTree, cut_coefficients, root_cell_grid
 from .errors import EmptyInputError, NoInternalNodesError
 
 MAD_TO_SIGMA = 0.6745  # MAD of a Gaussian = 0.6745 sigma
@@ -214,15 +216,12 @@ def collect_deep_coefficients(tree):
     Falls back to all internal coefficients when fewer than 10 live that
     deep.
     """
-    internal = tree.internal_nodes()
-    if not internal:
+    internal = tree.children[:, 0] >= 0
+    if not internal.any():
         raise NoInternalNodesError("tree has no internal nodes")
-    depths = sorted({nd.cell.depth for nd in internal})
-    keep = set(depths[-2:])
-    deep = [nd.w for nd in internal if nd.cell.depth in keep]
-    if len(deep) < 10:
-        deep = [nd.w for nd in internal]
-    return deep
+    depths, w = tree.depth[internal], tree.w[internal]
+    deep = w[depths >= np.unique(depths)[-2:][0]]  # the two deepest levels
+    return (deep if deep.size >= 10 else w).tolist()
 
 
 def soft_threshold(w, tau):
@@ -310,16 +309,7 @@ def fit_uhwt(dataset, responses, params, sigma_hat=None):
         if not split.any():
             break
         perms, sizes = _partition(perms, sizes, split, dims, locs, locations)
-        members = perms[-1].copy()  # cells keep views of this row only
-        bounds = [0] + np.cumsum(sizes).tolist()
-        grown = []
-        for i, (nid, dim, loc) in enumerate(zip(
-                frontier[split].tolist(), dims[split].tolist(), locs[split].tolist())):
-            lo, mid, hi = bounds[2 * i:2 * i + 3]
-            parts = members[lo:mid], members[mid:hi]
-            cut = make_axis_split(tree.nodes[nid].cell, locations, dim, loc, _parts=parts)
-            grown.extend(tree.split_node(nid, cut, responses))
-        frontier = np.array(grown)
+        frontier = tree._split_axis_level(frontier[split], dims[split], locs[split], perms[-1], sizes, responses)
     return tree
 
 

@@ -1,10 +1,12 @@
 """Per-face tree fitting on the icosahedral mesh, with random rotations.
 
 A model is a rotation plus twenty face trees grown on the rotated
-locations.  Prediction rotates the queries, locates their faces (boundary
-ties to the smallest face id) and runs the telescoping reconstruction of
-each query's face tree, with all twenty trees compiled as one and every
-query descending from its face's root in the same level steps; each face
+locations.  Points and queries are rotated in one fixed elementwise order
+(core._rotate), so a query's coordinates do not depend on its batch.
+Prediction locates the queries' faces (boundary ties to the smallest face
+id) and runs the telescoping reconstruction of each query's face tree,
+with the twenty trees' node arrays concatenated and every query
+descending from its face's root in the same level steps; each face
 tree uses its own face mean as intercept, and a face with no training
 points predicts the global training mean.
 
@@ -21,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import UHTree, run_descent, sphere_dataset, triangle_cell, uh_coefficient
+from .core import UHTree, _rotate, run_descent, sphere_dataset, triangle_cell, uh_coefficient
 from .errors import NoInternalNodesError
 from .grid import collect_deep_coefficients, estimate_sigma_mad, pilot_depth
 from .sphere_geom import assign_faces, fan_split, icosahedron, split_triangle
@@ -72,12 +74,12 @@ def _grow_face(verts, members, rotated, responses, rule, params, threshold, fall
     if members.size == 0:
         # no data on this face: root-only tree predicting the global mean
         return UHTree(triangle_cell(verts, members, 0), empty_intercept)
-    tree = UHTree(triangle_cell(verts, members, 0), responses[members].mean())
-    frontier = deque([0])
+    root = triangle_cell(verts, members, 0)
+    tree = UHTree(root, responses[members].mean())
+    frontier = deque([(0, root)])
     while frontier:
-        nid = frontier.popleft()
-        cell = tree.nodes[nid].cell
-        if cell.depth >= params.max_depth or cell.mass < 2 or cell.kind != "triangle":
+        nid, cell = frontier.popleft()
+        if cell.depth >= params.max_depth or cell.mass < 2:
             continue
         cell_resp = responses[cell.members]
         if cell_resp.min() == cell_resp.max():
@@ -89,7 +91,9 @@ def _grow_face(verts, members, rotated, responses, rule, params, threshold, fall
             continue
         if threshold > 0.0 and abs(uh_coefficient(split, cell, responses)) < threshold:
             continue
-        frontier.extend(tree.split_node(nid, split, responses))
+        # the new frontier ids are the plus group's cells, then the minus group's
+        kids = [split.children[i] for i in split.plus_group + split.minus_group]
+        frontier.extend(zip(tree.split_node(nid, split, responses), kids))
     return tree
 
 
@@ -129,7 +133,7 @@ def fit_sphere(dataset, responses, rule, params, rotation=None,
     if rotation is None:
         rotation = np.eye(3)
     rotation = _check_rotation(rotation)
-    rotated_points = dataset.locations @ rotation.T
+    rotated_points = _rotate(dataset.locations, rotation)
     rotated = sphere_dataset(rotated_points, responses)
     face_idx = assign_faces(BASE, rotated_points)
     face_members = [np.flatnonzero(face_idx == j) for j in range(BASE.n_faces)]
@@ -165,13 +169,13 @@ def fit_sphere(dataset, responses, rule, params, rotation=None,
     return SphereModel(rotation, trees, global_mean, rule, params, sigma_hat)
 
 
-def model_descent(model, queries, shrunk=False, members=False):
-    """All face trees compiled as one, each query descended from its face's root.
+def model_descent(model, queries, shrunk=False):
+    """All face trees read as one, each query descended from its face's root.
 
     Returns run_descent's (flat, values, leaves).
     """
-    pts = np.atleast_2d(np.asarray(queries, dtype=np.float64)) @ model.rotation.T
-    return run_descent(model.face_trees, pts, assign_faces(BASE, pts), shrunk, members)
+    pts = _rotate(np.atleast_2d(np.asarray(queries, dtype=np.float64)), model.rotation)
+    return run_descent(model.face_trees, pts, assign_faces(BASE, pts), shrunk)
 
 
 def predict_sphere(model, queries, shrunk=False):
@@ -186,8 +190,8 @@ def model_leaf_members(model, queries):
 
     Queries landing in an empty face get an empty array.
     """
-    flat, _, leaves = model_descent(model, queries, members=True)
-    ends = flat.start[leaves] + flat.size[leaves]
+    flat, _, leaves = model_descent(model, queries)
+    ends = flat.start[leaves] + flat.count[leaves]
     return [flat.perm[a:b] for a, b in zip(flat.start[leaves].tolist(), ends.tolist())]
 
 

@@ -30,6 +30,7 @@ import numpy as np
 from .core import (
     BOUNDARY_EPS,
     _cross3,
+    _cross_rows,
     _edge_cut,
     _min3,
     cut_coefficients,
@@ -62,7 +63,7 @@ class Triangulation:
     @cached_property
     def _edge_normals(self):
         """(F, 3, 3) edge normals of every face, computed on first use."""
-        return np.stack([tri_edge_normals(self.face_vertices(j)) for j in range(self.n_faces)])
+        return tri_edge_normals(self.vertices[self.faces])
 
     @cached_property
     def _normal_columns(self):
@@ -138,17 +139,6 @@ def assign_faces(triangulation, points, eps=BOUNDARY_EPS):
 
 def arc_length(a, b):
     return float(np.arccos(np.clip(np.dot(a, b), -1.0, 1.0)))
-
-
-def _cross_rows(a, b):
-    """Row-wise np.cross of (k, 3) arrays; either may be one 3-vector."""
-    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
-    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
-    out[..., 0] = a1 * b2 - a2 * b1
-    out[..., 1] = a2 * b0 - a0 * b2
-    out[..., 2] = a0 * b1 - a1 * b0
-    return out
 
 
 def _norm(v):

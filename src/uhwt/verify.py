@@ -18,7 +18,7 @@ from ._streams import NOISE, stream_rng
 from .bayes import admissible_thresholds, coefficient_density, valid_dimensions
 from .core import Cell, batch_reconstruct, grid_dataset, haar_coefficient, reconstruct, sse, system_matrix
 from .errors import PreconditionViolatedError, TooLargeError
-from .grid import GridFitParams, fit_uhwt, soft_threshold
+from .grid import soft_threshold
 
 
 def leafwise_fit(tree, dataset, responses, query):

@@ -216,8 +216,9 @@ class TestReconstruct:
             assert -w_swap / c_swap_minus == pytest.approx(w / c_plus, rel=1e-12)
 
     def test_edge_label_swap_invariance(self):
-        # honest relabeling on sphere trees: negate the cut normal, swap the
-        # children, recompute w; reconstructions must not move
+        # honest relabeling on sphere trees, written into the node arrays:
+        # negate the cut normal, swap the children, recompute w;
+        # reconstructions must not move
         from uhwt import fit_sphere, predict_sphere
         from uhwt.core import uh_coefficient as coef
         from uhwt.signals import generate_sphere_synthetic
@@ -228,15 +229,14 @@ class TestReconstruct:
         before = predict_sphere(model, queries)
         swapped = 0
         for tree in model.face_trees:
-            for node in tree.nodes:
-                if node.split is not None and node.split.kind == "edge":
-                    split = node.split
-                    split.cut_normal = -split.cut_normal
-                    split.children.reverse()
-                    node.children.reverse()
-                    node.w = coef(split, node.cell, ds.responses)
-                    swapped += 1
-                    break
+            edges = [nd.id for nd in tree.nodes if nd.split is not None and nd.split.kind == "edge"]
+            if edges:
+                i = edges[0]
+                tree.cut_normal[i] = -tree.cut_normal[i]
+                tree.children[i] = tree.children[i][::-1].copy()
+                node = tree.nodes[i]
+                tree.w[i] = coef(node.split, node.cell, ds.responses)
+                swapped += 1
         assert swapped > 0
         after = predict_sphere(model, queries)
         np.testing.assert_allclose(after, before, rtol=0, atol=1e-12)

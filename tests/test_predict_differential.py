@@ -189,17 +189,22 @@ def test_reference_covers_quad_nodes_and_empty_faces():
                for members in (model_leaf_members(m, queries[-1:])[0] for m in forest.members))
 
 
-@pytest.mark.parametrize("rule", RULES)
-def test_boundary_queries_do_not_depend_on_the_batch(rule):
+@pytest.mark.parametrize("rule,rotate", [
+    pytest.param(rule, rotate, id=rule + ("-rotated" if rotate else "")) for rotate in (False, True) for rule in RULES])
+def test_boundary_queries_do_not_depend_on_the_batch(rule, rotate):
     # A point exactly on a cut has no well-defined side: its determinant is
     # rounding noise.  The answer may be either side, but the same one
     # whether the point is queried alone or among others.  The identity
     # rotation keeps the rotated coordinates exact, so only the face
-    # assignment and the descent decide.
+    # assignment and the descent decide; under a Haar rotation the
+    # boundary points are mapped back through it, and the rotation itself
+    # must round each query the same way alone and in a batch.
     data = generate_sphere_synthetic("fig5", 300, 0.1, seed=SEED)
-    model = fit_sphere(data, data.responses, rule, GridFitParams(max_depth=200))
+    rotation = haar_rotation(stream_rng(SEED, FACE, RULES.index(rule))) if rotate else np.eye(3)
+    model = fit_sphere(data, data.responses, rule, GridFitParams(max_depth=200), rotation=rotation)
     cloud = generate_sphere_synthetic("fig5", 200, 0.1, seed=SEED + 1).locations
-    queries = np.concatenate([cloud, _boundary_points()])
+    boundary = _boundary_points() @ rotation if rotate else _boundary_points()
+    queries = np.concatenate([cloud, boundary])
     alone = np.array([predict_sphere(model, q) for q in queries])
     assert np.array_equal(predict_sphere(model, queries), alone)
     in_batch = model_leaf_members(model, queries)
