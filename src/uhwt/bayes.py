@@ -18,6 +18,10 @@ with Phi(atomic) = 1 integrates the likelihood over all trees rooted at A.
 A ``no_stop`` variant drops the stop branch entirely (trees split until
 atomic and leaves carry no likelihood factor).
 
+The sampler's state, McmcTree, is a small mutable pointer tree of BNodes
+by design, not a core.UHTree: every move splits or joins one node in
+place, and bnode_record converts a stored draw to nested records.
+
 One chain runs on one thread; independent chains with different seeds may
 run concurrently.
 """
@@ -29,6 +33,7 @@ import numpy as np
 
 from .core import Cell, UHTree, haar_coefficient, make_axis_split, root_cell_grid, sse
 from .errors import ExplosionGuardError, TooFewDrawsError
+from .grid import _midpoint
 from ._streams import CHAIN, stream_rng
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -150,9 +155,13 @@ class LatentMarkov:
 # ---------------------------------------------------------------------------
 
 def admissible_thresholds(members, dataset, dim):
-    """Midpoints between consecutive distinct member coordinates along dim."""
+    """Midpoints between consecutive distinct member coordinates along dim.
+
+    Each is grid._midpoint of its pair, the grid grower's threshold, so
+    both children of every admissible split are nonempty.
+    """
     xs = np.unique(dataset.locations[members, dim])
-    return 0.5 * (xs[:-1] + xs[1:])
+    return _midpoint(xs[:-1], xs[1:])
 
 
 def valid_dimensions(members, dataset):
@@ -175,7 +184,7 @@ def _split_law(cell, prior, dataset):
     if not dims:
         return [], [], [], []
     lam = prior.dim_weights(cell, dataset, dims)
-    thresholds = [0.5 * (xs[d][:-1] + xs[d][1:]) for d in dims]
+    thresholds = [_midpoint(xs[d][:-1], xs[d][1:]) for d in dims]
     bws = [prior.loc_weights(cell, dataset, d, t) for d, t in zip(dims, thresholds)]
     return dims, lam, thresholds, bws
 
@@ -445,25 +454,22 @@ class McmcTree:
             node.dim, round(node.loc, 12), left, right))
 
 
-def _leaf_prior_term(members, depth, prior):
-    """log(1 - p_split) for leaves that could have split, else 0."""
-    if members.size >= 2 and depth < prior.max_depth:
-        return math.log(1.0 - prior.split_prob(depth))
-    return 0.0
+def _subtree_log_target(root, prior, responses, model, sigma, dataset=None):
+    """Log-target terms of the subtree at root, summed in preorder.
 
-
-def log_tree_target(tree, prior, responses, model, include_location_prior=True):
-    """Unnormalized log posterior: depth/dimension/location prior + likelihood."""
-    responses = np.asarray(responses, dtype=np.float64)
-    dataset = tree.dataset
+    A leaf adds log(1 - p_split) when it could have split and
+    -SSE / (2 sigma^2); a split node adds log p_split, the log location
+    prior lambda_d * B(loc) when dataset is given, and log M(w).
+    """
     total = 0.0
-    for node in tree.walk():
+    for node in _preorder(root):
         if node.is_leaf:
-            total += _leaf_prior_term(node.members, node.depth, prior)
-            total += -sse(responses, node.members) / (2.0 * model.sigma ** 2)
+            if node.members.size >= 2 and node.depth < prior.max_depth:
+                total += math.log(1.0 - prior.split_prob(node.depth))
+            total += -sse(responses, node.members) / (2.0 * sigma ** 2)
         else:
             total += math.log(prior.split_prob(node.depth))
-            if include_location_prior:
+            if dataset is not None:
                 dims, lam, thresholds, bws = _split_law(
                     Cell(node.members, node.depth), prior, dataset)
                 j = dims.index(node.dim)
@@ -473,6 +479,12 @@ def log_tree_target(tree, prior, responses, model, include_location_prior=True):
             w = haar_coefficient(responses, node.left.members, node.right.members)
             total += math.log(coefficient_density(w, model))
     return total
+
+
+def log_tree_target(tree, prior, responses, model, include_location_prior=True):
+    """Unnormalized log posterior: depth/dimension/location prior + likelihood."""
+    return _subtree_log_target(tree.root, prior, np.asarray(responses, dtype=np.float64), model,
+                               model.sigma, tree.dataset if include_location_prior else None)
 
 
 def _draw_prior_split(node, prior, dataset, rng):
@@ -518,12 +530,15 @@ def mcmc_step(tree, dataset, prior, sigma, rng, responses=None, model=None,
     """One GROW/PRUNE (optionally SWAP) Metropolis-Hastings update in place.
 
     Move type is uniform over the enabled moves, switching when the chosen
-    candidate set is empty.  GROW proposes the split from the prior's own
-    dimension/location rule, so the acceptance log-ratio reduces to the
-    depth-prior change, the likelihood change (coefficient density at the
-    new internal node, leaf SSE terms), and the proposal correction built
-    from the candidate counts and the move-selection probabilities before
-    and after the change (mirrored for PRUNE).
+    candidate set is empty.  GROW turns a leaf into a split node with two
+    leaf children, PRUNE does the reverse, and SWAP redraws the split of a
+    node whose children are leaves.  New splits come from the prior's own
+    dimension/location rule, so the location prior cancels and the
+    acceptance log-ratio is the change in the moved node's subtree terms
+    (depth prior, coefficient density, leaf SSE) plus, for GROW and PRUNE,
+    the proposal correction built from the candidate counts and the
+    move-selection probabilities before and after the change.  A rejected
+    move is undone by re-attaching the node's old split.
 
     Returns True when the proposal was accepted.
     """
@@ -532,7 +547,6 @@ def mcmc_step(tree, dataset, prior, sigma, rng, responses=None, model=None,
     responses = np.asarray(responses, dtype=np.float64)
     if model is None:
         model = CoefficientModel("gaussian", sigma, sigma_w=sigma)
-    two_sigma_sq = 2.0 * sigma ** 2
 
     moves = ["grow", "prune"] + (["swap"] if include_swap else [])
     move = moves[rng.integers(len(moves))]
@@ -546,66 +560,28 @@ def mcmc_step(tree, dataset, prior, sigma, rng, responses=None, model=None,
         move = None
     if move is None:
         return False
-    forward = _move_probs(len(grow), len(prune), include_swap)
+    targets = grow if move == "grow" else prune
+    node = targets[rng.integers(len(targets))]
+    old = (node.dim, node.loc)  # (None, None) at a leaf
 
-    def leaf_ll(node):
-        return -sse(responses, node.members) / two_sigma_sq
-
-    def split_ll(left, right):
-        w = haar_coefficient(responses, left.members, right.members)
-        return math.log(coefficient_density(w, model)) + leaf_ll(left) + leaf_ll(right)
-
-    if move == "grow":
-        node = grow[rng.integers(len(grow))]
-        dim, loc = _draw_prior_split(node, prior, dataset, rng)
-        p_here = prior.split_prob(node.depth)
-        before = leaf_ll(node) + math.log(1.0 - p_here)
-        _attach(node, dataset, dim, loc)
-        after = math.log(p_here) + split_ll(node.left, node.right) \
-            + _leaf_prior_term(node.left.members, node.left.depth, prior) \
-            + _leaf_prior_term(node.right.members, node.right.depth, prior)
-        backward = _move_probs(len(tree.grow_candidates(prior)),
-                               len(tree.prune_candidates()), include_swap)
-        hastings = math.log(backward["prune"]) - math.log(forward["grow"]) \
-            + math.log(len(grow)) - math.log(len(tree.prune_candidates()))
-        if math.log(rng.uniform()) < after - before + hastings:
-            return True
+    before = _subtree_log_target(node, prior, responses, model, sigma)
+    if move != "grow":
         _detach(node)
-        return False
-
-    if move == "prune":
-        node = prune[rng.integers(len(prune))]
-        p_here = prior.split_prob(node.depth)
-        before = math.log(p_here) + split_ll(node.left, node.right) \
-            + _leaf_prior_term(node.left.members, node.left.depth, prior) \
-            + _leaf_prior_term(node.right.members, node.right.depth, prior)
-        after = leaf_ll(node) + math.log(1.0 - p_here)
-        saved = (node.dim, node.loc, node.left, node.right)
-        _detach(node)
-        backward = _move_probs(len(tree.grow_candidates(prior)),
-                               len(tree.prune_candidates()), include_swap)
-        hastings = math.log(backward["grow"]) - math.log(forward["prune"]) \
-            + math.log(len(prune)) - math.log(len(tree.grow_candidates(prior)))
-        if math.log(rng.uniform()) < after - before + hastings:
-            return True
-        node.dim, node.loc, node.left, node.right = saved
-        return False
-
-    # swap: redraw the split of an internal node whose children are leaves
-    node = prune[rng.integers(len(prune))]
-    saved = (node.dim, node.loc, node.left, node.right)
-    before = split_ll(node.left, node.right) \
-        + _leaf_prior_term(node.left.members, node.left.depth, prior) \
-        + _leaf_prior_term(node.right.members, node.right.depth, prior)
-    dim, loc = _draw_prior_split(node, prior, dataset, rng)
-    _detach(node)
-    _attach(node, dataset, dim, loc)
-    after = split_ll(node.left, node.right) \
-        + _leaf_prior_term(node.left.members, node.left.depth, prior) \
-        + _leaf_prior_term(node.right.members, node.right.depth, prior)
-    if math.log(rng.uniform()) < after - before:
+    if move != "prune":
+        _attach(node, dataset, *_draw_prior_split(node, prior, dataset, rng))
+    after = _subtree_log_target(node, prior, responses, model, sigma)
+    hastings = 0.0
+    if move != "swap":
+        n_grow, n_prune = len(tree.grow_candidates(prior)), len(tree.prune_candidates())
+        back, n_back = ("prune", n_prune) if move == "grow" else ("grow", n_grow)
+        hastings = math.log(_move_probs(n_grow, n_prune, include_swap)[back]) \
+            - math.log(_move_probs(len(grow), len(prune), include_swap)[move]) \
+            + math.log(len(targets)) - math.log(n_back)
+    if math.log(rng.uniform()) < after - before + hastings:
         return True
-    node.dim, node.loc, node.left, node.right = saved
+    _detach(node)
+    if old[0] is not None:
+        _attach(node, dataset, *old)
     return False
 
 

@@ -574,9 +574,13 @@ class UHTree:
                 geometry[grand[:, half, slot]] = tri.transpose(1, 0, 2)
 
     def set_shrunk(self, shrink_fn):
-        """Populate w_tilde = shrink_fn(w) at every internal node."""
+        """Populate w_tilde = shrink_fn(w) at every internal node.
+
+        shrink_fn is called once, on the array of the internal nodes' w, and
+        must act elementwise (a scalar result is broadcast).
+        """
         internal = np.flatnonzero(self.kind != _LEAF)
-        self._columns["w_tilde"][internal] = [float(shrink_fn(w)) for w in self.w[internal].tolist()]
+        self._columns["w_tilde"][internal] = shrink_fn(self.w[internal])
 
     def atoms(self):
         """UHAtom per internal node, in node-id order."""

@@ -88,13 +88,13 @@ def _admissible_cuts(xs, sizes, n_min, median_only):
 def _midpoint(a, b):
     """Threshold of the cut between sorted coordinates a < b: a < t <= b.
 
-    0.5 * (a + b), or 0.5 * a + 0.5 * b where a + b overflows; b itself
-    when the midpoint rounds onto a (adjacent doubles), so the cut never
-    leaves a side empty.
+    0.5 * a + 0.5 * b, which never overflows and equals 0.5 * (a + b)
+    unless that sum overflows or the halves are subnormal; b itself when
+    the midpoint rounds onto a (adjacent doubles), so the cut never leaves
+    a side empty.  The grid grower and the Bayesian split law both cut
+    here.
     """
-    with np.errstate(over="ignore"):
-        mid = 0.5 * (a + b)
-    mid = np.where(np.isfinite(mid), mid, 0.5 * a + 0.5 * b)
+    mid = 0.5 * a + 0.5 * b
     return np.where(mid <= a, b, mid)
 
 

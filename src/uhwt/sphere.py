@@ -69,7 +69,7 @@ def _check_rotation(rotation):
     return rotation
 
 
-def _grow_face(verts, members, rotated, responses, rule, params, threshold, fallback,
+def _grow_face(verts, members, rotated, responses, rule, params, threshold,
                empty_intercept=0.0):
     if members.size == 0:
         # no data on this face: root-only tree predicting the global mean
@@ -85,7 +85,7 @@ def _grow_face(verts, members, rotated, responses, rule, params, threshold, fall
         if cell_resp.min() == cell_resp.max():
             continue  # degenerate parent: every coefficient is zero
         split = split_triangle(cell, rule, rotated, responses, n_min=params.min_leaf)
-        if split is None and fallback:
+        if split is None:
             split = fan_split(cell, rotated, responses, n_min=params.min_leaf)
         if split is None:
             continue
@@ -108,26 +108,24 @@ def _pooled_sigma(trees):
     return estimate_sigma_mad(coefficients) if coefficients else 0.0
 
 
-def _pooled_pilot_sigma(face_members, rotated, responses, rule, params, fallback):
+def _pooled_pilot_sigma(face_members, rotated, responses, rule, params):
     pilot_params = replace(
         params, early_stop_b=0.0, min_leaf=1, max_depth=pilot_depth(params, rotated.n), soft_a=0.0,
     )
     return _pooled_sigma(
         _grow_face(BASE.face_vertices(j), face_members[j], rotated, responses,
-                   rule, pilot_params, 0.0, fallback)
+                   rule, pilot_params, 0.0)
         for j in range(BASE.n_faces)
     )
 
 
-def fit_sphere(dataset, responses, rule, params, rotation=None,
-               separating_fallback=True, compute_sigma=False):
+def fit_sphere(dataset, responses, rule, params, rotation=None, compute_sigma=False):
     """Grow the twenty face trees on rotated locations.
 
-    rotation defaults to the identity.  Faces with no points get no tree
-    and predict the global mean; single-point faces get root-only trees.
-    With separating_fallback (default), a cell the named rule cannot split
-    is offered central-projection cuts so full-depth growth reaches
-    singleton leaves.
+    rotation defaults to the identity.  Faces with no points get root-only
+    trees predicting the global mean; single-point faces get root-only
+    trees too.  A cell the named rule cannot split is offered
+    central-projection cuts, so full-depth growth reaches singleton leaves.
     """
     responses = np.asarray(responses, dtype=np.float64)
     if rotation is None:
@@ -141,26 +139,25 @@ def fit_sphere(dataset, responses, rule, params, rotation=None,
     sigma_hat = None
     threshold = 0.0
     need_sigma = params.early_stop_b > 0 or compute_sigma
-    # with no early stopping and min_leaf 1 the fitted trees coincide with
-    # the pilot pass, so their own deep coefficients give the MAD estimate
+    # with no early stopping and min_leaf 1, the fitted trees' deep
+    # coefficients stand in for the pilot's; they are the pilot's only while
+    # no face tree reaches the pilot depth (deeper trees pool deeper levels)
     reuse_as_pilot = (
         need_sigma and params.sigma is None and params.early_stop_b == 0
-        and params.min_leaf == 1 and params.max_depth >= pilot_depth(params, dataset.n)
+        and params.min_leaf == 1
     )
     if need_sigma and not reuse_as_pilot:
         if params.sigma is not None:
             sigma_hat = params.sigma
         else:
-            sigma_hat = _pooled_pilot_sigma(
-                face_members, rotated, responses, rule, params, separating_fallback,
-            )
+            sigma_hat = _pooled_pilot_sigma(face_members, rotated, responses, rule, params)
         threshold = params.early_stop_b * sigma_hat
 
     global_mean = float(responses.mean())
     trees = [
         _grow_face(
             BASE.face_vertices(j), face_members[j], rotated, responses,
-            rule, params, threshold, separating_fallback, empty_intercept=global_mean,
+            rule, params, threshold, empty_intercept=global_mean,
         )
         for j in range(BASE.n_faces)
     ]
@@ -200,6 +197,5 @@ def sphere_shrink(model, tau):
     from .grid import soft_threshold
 
     for tree in model.face_trees:
-        if tree is not None:
-            tree.set_shrunk(lambda w: soft_threshold(w, tau))
+        tree.set_shrunk(lambda w: soft_threshold(w, tau))
     return model

@@ -18,7 +18,7 @@ from ._streams import NOISE, stream_rng
 from .bayes import admissible_thresholds, coefficient_density, valid_dimensions
 from .core import Cell, batch_reconstruct, grid_dataset, haar_coefficient, reconstruct, sse, system_matrix
 from .errors import PreconditionViolatedError, TooLargeError
-from .grid import soft_threshold
+from .grid import GridFitParams, fit_uhwt, soft_threshold
 
 
 def leafwise_fit(tree, dataset, responses, query):
@@ -110,25 +110,15 @@ class FixedPartition:
 def balanced_partition(n, depth):
     """Median-split balanced tree on a 1-D lattice of n points.
 
-    Built directly (data-independent), so it can serve as the fixed
-    partition of the bound trials.
+    Grown by fit_uhwt with median splits only.  The responses it is grown
+    on are strictly increasing, so no cell is skipped as constant, and the
+    splits do not depend on them otherwise: the partition is
+    data-independent and can serve as the fixed partition of the bound
+    trials.
     """
     dataset = grid_dataset(np.arange(n, dtype=np.float64)[:, None], np.zeros(n))
-    from uhwt.core import UHTree, make_axis_split, root_cell_grid
-
-    tree = UHTree(root_cell_grid(dataset), 0.0)
-    frontier = [0]
-    while frontier:
-        nid = frontier.pop(0)
-        cell = tree.nodes[nid].cell
-        if cell.depth >= depth or cell.mass < 2:
-            continue
-        xs = np.sort(dataset.locations[cell.members, 0])
-        k = (xs.size - 1) // 2 if xs.size % 2 == 0 else xs.size // 2 - 1
-        k = max(0, min(k, xs.size - 2))
-        loc = 0.5 * (xs[k] + xs[k + 1])
-        split = make_axis_split(cell, dataset.locations, 0, loc)
-        frontier.extend(tree.split_node(nid, split, dataset.responses))
+    tree = fit_uhwt(dataset, np.arange(n, dtype=np.float64),
+                    GridFitParams(max_depth=depth, median_splits_only=True))
     detail = system_matrix(tree, n)[:, 1:] * math.sqrt(n)
     leaves = tree.leaves()
     leaf_index = np.empty(n, dtype=np.intp)

@@ -105,7 +105,8 @@ class TestFitUhwt:
     @pytest.mark.parametrize("locs", [
         [1.0, float(np.nextafter(1.0, 2.0))],  # the midpoint rounds onto the lower one
         [1.7e308, 1.79e308],  # their sum overflows
-    ], ids=["adjacent_doubles", "huge"])
+        [-0.3, 0.7],
+    ], ids=["adjacent_doubles", "huge", "normal"])
     def test_cut_between_any_two_distinct_coordinates(self, locs):
         ds = line_dataset([0.0, 1.0], locs=locs)
         (dim, loc), = candidate_splits(root_cell_grid(ds), ds)
