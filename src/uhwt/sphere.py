@@ -140,8 +140,8 @@ def fit_sphere(dataset, responses, rule, params, rotation=None, compute_sigma=Fa
     threshold = 0.0
     need_sigma = params.early_stop_b > 0 or compute_sigma
     # with no early stopping and min_leaf 1, the fitted trees' deep
-    # coefficients stand in for the pilot's; they are the pilot's only while
-    # no face tree reaches the pilot depth (deeper trees pool deeper levels)
+    # coefficients stand in for the pilot's; they equal the pilot's only
+    # while no face tree reaches the pilot depth, where the pilot stops
     reuse_as_pilot = (
         need_sigma and params.sigma is None and params.early_stop_b == 0
         and params.min_leaf == 1
